@@ -100,7 +100,9 @@ def _arm(scheduler, workload: str, horizon: int, fired: List) -> None:
         arm_timeline(scheduler, TIMELINE, fired)
 
 
-def _fingerprint(scheduler, fired) -> Tuple:
+def _run_signature(scheduler, fired) -> Tuple:
+    """Everything the sync and async runs must agree on: the expiry
+    sequence, OpCounter totals, final tick and pending count."""
     return (
         tuple(fired),
         scheduler.counter.snapshot(),
@@ -114,7 +116,7 @@ def _sync_control(scheme: str, workload: str, horizon: int) -> Tuple:
     fired: List = []
     _arm(scheduler, workload, horizon, fired)
     scheduler.advance_to(horizon)
-    return _fingerprint(scheduler, fired)
+    return _run_signature(scheduler, fired)
 
 
 def _async_run(scheme: str, workload: str, horizon: int):
@@ -141,7 +143,7 @@ def _async_run(scheme: str, workload: str, horizon: int):
         # event already landed on the horizon. Counted separately from
         # ticker wakeups.
         service._sync_to_wall()
-        print_ = _fingerprint(scheduler, fired)
+        print_ = _run_signature(scheduler, fired)
         wakeups = service.wakeups
         await service.aclose()
         return print_, wakeups, recorder, elapsed

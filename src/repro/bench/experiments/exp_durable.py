@@ -77,13 +77,13 @@ def _memory_run(scheme: str):
     return result.fingerprint(), perf_counter() - started
 
 
-def _durable_run(scheme: str, sync: str, **kwargs):
+def _durable_run(scheme: str, sync: str):
     """One uninterrupted durable chaos run, timed."""
-    from repro.faults.chaos_durable import run_chaos_durable
+    from repro.faults.chaos import DurableSpec, run_chaos
 
     started = perf_counter()
-    run = run_chaos_durable(scheme, sync=sync, **kwargs)
-    return run, perf_counter() - started
+    chaos = run_chaos(scheme, durable=DurableSpec(sync=sync))
+    return chaos, perf_counter() - started
 
 
 def _build_journal(
@@ -141,7 +141,7 @@ def _recovery_row(n_ops: int, snapshot_every: Optional[int]):
 
 def durable_service(fast: bool = False) -> ExperimentResult:
     """Journal overhead, recovery throughput, crash transparency."""
-    from repro.faults.chaos_durable import run_chaos_durable
+    from repro.faults.chaos import DurableSpec, run_chaos
 
     repeats = 2 if fast else 3
     replay_ops = 2_000 if fast else 20_000
@@ -191,11 +191,12 @@ def durable_service(fast: bool = False) -> ExperimentResult:
     fsyncs_by_mode: Dict[str, int] = {}
     records_by_mode: Dict[str, int] = {}
     for sync in SYNC_MODES:
-        run, seconds = _timed(
+        chaos, seconds = _timed(
             lambda sync=sync: _durable_run("scheme6", sync), repeats
         )
+        run = chaos.durable
         ratio = seconds / memory_seconds if memory_seconds > 0 else 0.0
-        identical = run.result.fingerprint() == base_fingerprint
+        identical = chaos.fingerprint() == base_fingerprint
         fsyncs_by_mode[sync] = run.fsyncs
         records_by_mode[sync] = run.records_appended
         gated = not fast and sync == "batch"
@@ -331,10 +332,11 @@ def durable_service(fast: bool = False) -> ExperimentResult:
     for scheme in CRASH_SCHEMES:
         scheme_base, _ = _memory_run(scheme)
         for seq, mode in KILL_POINTS:
-            run = run_chaos_durable(scheme, kill_at_seq=seq, crash_mode=mode)
-            identical = run.crashed and (
-                run.result.fingerprint() == scheme_base
+            chaos = run_chaos(
+                scheme, durable=DurableSpec(kill_at_seq=seq, crash_mode=mode)
             )
+            run = chaos.durable
+            identical = run.crashed and chaos.fingerprint() == scheme_base
             result.add_row(
                 "crash",
                 f"{scheme} kill@{seq} {mode}",

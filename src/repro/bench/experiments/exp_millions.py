@@ -39,13 +39,13 @@ from __future__ import annotations
 import gc
 import random
 import tracemalloc
-import zlib
 from collections import deque
 from time import perf_counter
 from typing import Dict, List, Tuple
 
 from repro.bench.result import ExperimentResult
 from repro.core import make_scheduler
+from repro.faults import fingerprint
 
 #: Interval span: every workload interval falls in [1, SPAN], and the
 #: drain phase advances exactly SPAN ticks, expiring everything.
@@ -108,15 +108,6 @@ def _workload(n: int) -> List[int]:
     return [rng.choice(ttls) for _ in range(n)]
 
 
-def _fingerprint(pairs: List[Tuple[int, int]]) -> int:
-    """CRC-32 over sorted (fired_at, interval) pairs: order-independent,
-    so schemes with different within-tick drain orders still compare."""
-    crc = 0
-    for fired_at, interval in sorted(pairs):
-        crc = zlib.crc32(b"%d:%d;" % (fired_at, interval), crc)
-    return crc
-
-
 def _insert_and_drain(
     scheme: str, store: str, intervals: List[int]
 ) -> Tuple[float, float, int, int]:
@@ -138,7 +129,7 @@ def _insert_and_drain(
             pairs.append((timer.fired_at, timer.interval))
     drain_seconds = perf_counter() - began
     assert sched.pending_count == 0, f"{scheme}/{store}: drain left timers"
-    return insert_seconds, drain_seconds, _fingerprint(pairs), len(pairs)
+    return insert_seconds, drain_seconds, fingerprint(pairs), len(pairs)
 
 
 def _churn(scheme: str, store: str, intervals: List[int]) -> Tuple[float, int]:

@@ -36,12 +36,12 @@ job replays the ``--fast`` variant.
 from __future__ import annotations
 
 import random
-import zlib
 from time import perf_counter
 from typing import Dict, List, Tuple
 
 from repro.bench.result import ExperimentResult
 from repro.core import make_scheduler
+from repro.faults import fingerprint
 from repro.cost.counters import OpCounter
 
 #: Wheel horizon: every interval fits the flat wheel and the hash table.
@@ -125,14 +125,6 @@ def _build_schedule(n: int, rounds: int) -> Dict[str, object]:
     return {"starts": starts, "rounds": round_plans}
 
 
-def _fingerprint(pairs: List[Tuple[int, int]]) -> int:
-    """CRC-32 over sorted (fired_at, interval): order-independent."""
-    crc = 0
-    for fired_at, interval in sorted(pairs):
-        crc = zlib.crc32(b"%d:%d;" % (fired_at, interval), crc)
-    return crc
-
-
 def _run_arm(
     scheme: str, store: str, arm: str, schedule: Dict[str, object]
 ) -> Dict[str, object]:
@@ -176,7 +168,7 @@ def _run_arm(
     return {
         "rearm_ops": rearm_ops,
         "rearm_calls": rearm_calls,
-        "fingerprint": _fingerprint([(t.fired_at, t.interval) for t in fired]),
+        "fingerprint": fingerprint([(t.fired_at, t.interval) for t in fired]),
         "expiries": len(fired),
         "seconds": elapsed,
         "total_updated": getattr(sched, "total_updated", 0),

@@ -594,7 +594,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     sharded_divergences: list = []
     skipped_backends: list = []
     if args.shards:
-        from repro.faults.chaos import run_chaos_sharded
+        from repro.faults.chaos import BUDGET_DEPENDENT, run_chaos
         from repro.sharding.backends import BACKEND_NAMES, backend_availability
 
         if args.backend == "all":
@@ -608,21 +608,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         else:
             backends = [b.strip() for b in args.backend.split(",") if b.strip()]
         reference_fp = report.reference.fingerprint()
-        # With a finite budget the per-shard budgets legitimately shed
-        # differently; mirror run_differential's exclusions.
-        budget_dependent = {
-            "shed", "retries", "injected_failures", "injected_hangs",
-            "slow_invocations", "survivors", "quarantined",
-        }
         for backend in backends:
-            sharded_result = run_chaos_sharded(
-                scheme=schemes[0],
-                shards=args.shards,
+            sharded_result = run_chaos(
+                schemes[0],
                 plan=plan,
                 workload=workload,
                 retry_policy=policy,
                 tick_budget=args.budget,
                 overload_policy=args.overload,
+                shards=args.shards,
                 backend=backend,
             )
             sharded_results.append(sharded_result)
@@ -631,7 +625,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 key
                 for key in reference_fp
                 if sharded_fp[key] != reference_fp[key]
-                and not (args.budget is not None and key in budget_dependent)
+                # With a finite budget the per-shard budgets legitimately
+                # shed differently; mirror run_differential's exclusions.
+                and not (args.budget is not None and key in BUDGET_DEPENDENT)
             ]
             if diverging:
                 sharded_divergences.append((sharded_result.scheme, diverging))
@@ -703,23 +699,25 @@ def _chaos_durable(args, plan, workload, policy, schemes) -> int:
     journal sequence number, recovers from disk, and requires the
     recovered fingerprint to be bit-identical to an uninterrupted run.
     """
-    from repro.faults.chaos import run_chaos
-    from repro.faults.chaos_durable import run_chaos_durable
+    from repro.faults.chaos import DurableSpec, run_chaos
 
     scheme = schemes[0] if args.schemes else "scheme6"
     reference = run_chaos(
         scheme, plan=plan, workload=workload, retry_policy=policy
     )
-    run = run_chaos_durable(
+    result = run_chaos(
         scheme,
         plan=plan,
         workload=workload,
         retry_policy=policy,
-        kill_at_seq=args.kill_at,
-        crash_mode=args.crash_mode,
-        journal_dir=args.journal,
-        sync=args.sync,
+        durable=DurableSpec(
+            sync=args.sync,
+            kill_at_seq=args.kill_at,
+            crash_mode=args.crash_mode,
+            journal_dir=args.journal,
+        ),
     )
+    run = result.durable
     print(f"scheme    : {scheme} (sync={args.sync})")
     print("fault plan: " + "; ".join(plan.describe()))
     if run.crashed:
@@ -744,7 +742,7 @@ def _chaos_durable(args, plan, workload, policy, schemes) -> int:
         f"journal   : {run.records_appended} records, {run.fsyncs} fsyncs, "
         f"{run.snapshots_kept} snapshots kept"
     )
-    if run.result.fingerprint() == reference.fingerprint():
+    if result.fingerprint() == reference.fingerprint():
         print(
             "OK: recovered fingerprint is bit-identical to the "
             "uninterrupted run"
@@ -752,7 +750,7 @@ def _chaos_durable(args, plan, workload, policy, schemes) -> int:
         return 0
     print("DIVERGENCE:", file=sys.stderr)
     reference_fp = reference.fingerprint()
-    for key, value in run.result.fingerprint().items():
+    for key, value in result.fingerprint().items():
         if value != reference_fp[key]:
             print(
                 f"  {key}: recovered {value!r} != uninterrupted "

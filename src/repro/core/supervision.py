@@ -46,6 +46,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.core.errors import TimerStateError, UnknownTimerError
 from repro.core.interface import ExpiryAction, Timer, TimerScheduler
+from repro.core.layer import SchedulerLayer
 from repro.core.observer import NULL_OBSERVER
 
 #: Recognised overload responses (see module docstring).
@@ -197,14 +198,14 @@ class _Entry:
         self.rearm_seq = 0
 
 
-class SupervisedScheduler:
+class SupervisedScheduler(SchedulerLayer):
     """Fault-tolerant facade over any :class:`TimerScheduler`.
 
     Reproduces the scheduler's public surface; clients keep using their
-    own request ids (``stop_timer``/``is_pending`` resolve through any
-    number of internal re-arms). See the module docstring for the policy
-    tiers. The wrapped scheduler must not be driven directly once
-    supervised.
+    own request ids (``stop_timer``/``update_timer``/``is_pending``/
+    ``get_timer`` resolve through any number of internal re-arms). See
+    the module docstring for the policy tiers. The wrapped scheduler
+    must not be driven directly once supervised.
     """
 
     def __init__(
@@ -225,7 +226,7 @@ class SupervisedScheduler:
             )
         if degrade_quantum < 1:
             raise ValueError(f"degrade_quantum must be >= 1, got {degrade_quantum}")
-        self._inner = scheduler
+        super().__init__(scheduler)
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.tick_budget = tick_budget
         self.overload_policy = overload_policy
@@ -280,7 +281,7 @@ class SupervisedScheduler:
             raise TimerStateError(
                 f"request_id {request_id!r} already names a supervised timer"
             )
-        timer = self._inner.start_timer(
+        timer = self.inner.start_timer(
             interval,
             request_id=request_id,
             callback=self._dispatch,
@@ -307,7 +308,7 @@ class SupervisedScheduler:
             raise UnknownTimerError(
                 f"no supervised timer with request_id {origin!r}"
             )
-        stopped = self._inner.stop_timer(entry.inner_id)
+        stopped = self.inner.stop_timer(entry.inner_id)
         del self._entries[origin]
         return stopped
 
@@ -336,35 +337,30 @@ class SupervisedScheduler:
             raise UnknownTimerError(
                 f"no supervised timer with request_id {origin!r}"
             )
-        updated = self._inner.update_timer(entry.inner_id, new_interval)
+        updated = self.inner.update_timer(entry.inner_id, new_interval)
         entry.deadline = updated.deadline
         return updated
 
-    def tick(self) -> List[Timer]:
-        """Supervised PER_TICK_BOOKKEEPING (one tick)."""
-        return self._inner.tick()
+    def restart_timer(
+        self,
+        timer: Timer,
+        interval: Optional[int] = None,
+        request_id: Optional[Hashable] = None,
+    ) -> Timer:
+        """Not supported: a record-level restart would bypass supervision.
 
-    def advance(self, ticks: int) -> List[Timer]:
-        """Advance ``ticks`` ticks through the inner sparse fast path."""
-        return self._inner.advance(ticks)
-
-    def advance_to(self, deadline: int) -> List[Timer]:
-        """Advance the inner clock to absolute tick ``deadline``."""
-        return self._inner.advance_to(deadline)
-
-    def run_until_idle(self, max_ticks: int = 1_000_000) -> List[Timer]:
-        """Drain every pending timer, retries included.
-
-        Terminates because retry chains are bounded by the policy's
-        attempt budget; a genuine livelock still raises
-        :class:`~repro.core.errors.TimerLivelockError` from the inner
-        scheduler.
+        The supervisor's entry for the timer (its client callback and
+        attempt count) exists only for timers armed through
+        :meth:`start_timer`; re-arm a finished timer with that instead.
         """
-        return self._inner.run_until_idle(max_ticks=max_ticks)
+        raise TimerStateError(
+            "SupervisedScheduler cannot restart a record in place; "
+            "use start_timer to re-arm the timer under supervision"
+        )
 
     def shutdown(self) -> List[Timer]:
         """Cancel everything (retry re-arms included) and close the module."""
-        cancelled = self._inner.shutdown()
+        cancelled = self.inner.shutdown()
         self._entries.clear()
         return cancelled
 
@@ -390,23 +386,23 @@ class SupervisedScheduler:
         self._last_sync = wall_tick
         if not self._synced:
             self._synced = True
-            if wall_tick <= self._inner.now:
+            if wall_tick <= self.inner.now:
                 return []
-            return self._inner.advance_to(wall_tick)
+            return self.inner.advance_to(wall_tick)
         if delta < 0:
             self.clock_jumps += 1
-            observer = self._inner.observer
+            observer = self.inner.observer
             if observer is not NULL_OBSERVER:
-                observer.on_clock_jump(self._inner, previous, wall_tick)
+                observer.on_clock_jump(self.inner, previous, wall_tick)
             return []
         if delta > 1:
             self.clock_jumps += 1
-            observer = self._inner.observer
+            observer = self.inner.observer
             if observer is not NULL_OBSERVER:
-                observer.on_clock_jump(self._inner, previous, wall_tick)
-        if wall_tick <= self._inner.now:
+                observer.on_clock_jump(self.inner, previous, wall_tick)
+        if wall_tick <= self.inner.now:
             return []  # still catching up to the pre-jump high-water mark
-        return self._inner.advance_to(wall_tick)
+        return self.inner.advance_to(wall_tick)
 
     # ------------------------------------------------------------ dispatcher
 
@@ -416,7 +412,7 @@ class SupervisedScheduler:
         entry = self._entries.get(origin)
         if entry is None or entry.inner_id != timer.request_id:
             return  # stale re-arm superseded by a stop/restart
-        inner = self._inner
+        inner = self.inner
         if self.tick_budget is not None and not self._admit(entry, timer):
             return
         entry.attempts += 1
@@ -449,7 +445,7 @@ class SupervisedScheduler:
         action overruns rather than deferring forever); anything after
         the budget line is shed.
         """
-        inner = self._inner
+        inner = self.inner
         now = inner.now
         if now != self._budget_tick:
             self._budget_tick = now
@@ -468,7 +464,7 @@ class SupervisedScheduler:
     def _shed(self, entry: _Entry, timer: Timer) -> None:
         policy = self.overload_policy
         self.shed_total += 1
-        inner = self._inner
+        inner = self.inner
         observer = inner.observer
         if policy == "drop":
             self.dropped += 1
@@ -508,7 +504,7 @@ class SupervisedScheduler:
         self, entry: _Entry, timer: Timer, exc: BaseException
     ) -> None:
         policy = self.retry_policy
-        inner = self._inner
+        inner = self.inner
         if entry.attempts >= policy.max_attempts:
             self._quarantine(entry, timer, exc, "attempts")
             return
@@ -545,7 +541,7 @@ class SupervisedScheduler:
         restarted under the next :class:`RearmId`, so one client timer is
         exactly one record for its whole retry chain.
         """
-        inner = self._inner
+        inner = self.inner
         bound = inner.max_start_interval()
         if bound is not None and interval >= bound:
             interval = bound - 1
@@ -557,7 +553,7 @@ class SupervisedScheduler:
     def _quarantine(
         self, entry: _Entry, timer: Timer, exc: BaseException, reason: str
     ) -> None:
-        inner = self._inner
+        inner = self.inner
         del self._entries[entry.origin]
         self.quarantine[entry.origin] = QuarantineRecord(
             request_id=entry.origin,
@@ -624,7 +620,7 @@ class SupervisedScheduler:
             raise TimerStateError(
                 f"request_id {origin!r} already names a supervised timer"
             )
-        inner = self._inner
+        inner = self.inner
         entry = _Entry(origin, callback, user_data, deadline)
         entry.attempts = attempts
         entry.rearm_seq = rearm_seq
@@ -686,16 +682,6 @@ class SupervisedScheduler:
     # ------------------------------------------------------------ inspection
 
     @property
-    def now(self) -> int:
-        """Current virtual time of the wrapped scheduler."""
-        return self._inner.now
-
-    @property
-    def pending_count(self) -> int:
-        """Outstanding *inner* timers (retry re-arms included)."""
-        return self._inner.pending_count
-
-    @property
     def supervised_count(self) -> int:
         """Client timers still under supervision (pending or retrying)."""
         return len(self._entries)
@@ -704,40 +690,18 @@ class SupervisedScheduler:
         """True while the client timer is live, across any re-arms."""
         return origin_of(request_id) in self._entries
 
-    def next_expiry(self) -> Optional[int]:
-        """Delegate to the inner scheme (re-arms count as pending work)."""
-        return self._inner.next_expiry()
+    def get_timer(self, request_id: Hashable) -> Timer:
+        """The live record of a client timer, across any re-arms.
 
-    def max_start_interval(self) -> Optional[int]:
-        """The inner scheme's interval bound (``None`` when unbounded)."""
-        return self._inner.max_start_interval()
-
-    def pending_timers(self):
-        """The inner scheme's live timers (retry re-arms included)."""
-        return self._inner.pending_timers()
-
-    @property
-    def counter(self):
-        """The inner scheme's :class:`OpCounter` — supervision is free."""
-        return self._inner.counter
-
-    @property
-    def scheme_name(self) -> str:
-        """The wrapped scheme's registry name."""
-        return self._inner.scheme_name
-
-    @property
-    def observer(self):
-        """The active observer (shared with the inner scheme)."""
-        return self._inner.observer
-
-    def attach_observer(self, observer):
-        """Attach ``observer`` to the inner scheme (supervision events included)."""
-        return self._inner.attach_observer(observer)
-
-    def detach_observer(self):
-        """Detach the active observer from the inner scheme."""
-        return self._inner.detach_observer()
+        After a failed callback the record is pending under a
+        :class:`RearmId`; the client's own id still finds it.
+        """
+        entry = self._entries.get(origin_of(request_id))
+        if entry is None:
+            raise UnknownTimerError(
+                f"no supervised timer with request_id {request_id!r}"
+            )
+        return self.inner.get_timer(entry.inner_id)
 
     def counters(self) -> Dict[str, int]:
         """The supervision counters as one JSON-friendly dict."""
@@ -754,7 +718,7 @@ class SupervisedScheduler:
 
     def introspect(self) -> Dict[str, object]:
         """Inner snapshot plus a ``supervision`` section."""
-        info = self._inner.introspect()
+        info = self.inner.introspect()
         info["supervision"] = {
             "supervised_pending": len(self._entries),
             "retrying": sorted(
@@ -771,7 +735,7 @@ class SupervisedScheduler:
 
     def __repr__(self) -> str:
         return (
-            f"SupervisedScheduler({self._inner!r}, "
+            f"SupervisedScheduler({self.inner!r}, "
             f"retries={self.retries}, quarantined={self.quarantined_total}, "
             f"shed={self.shed_total})"
         )

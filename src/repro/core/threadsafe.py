@@ -14,24 +14,28 @@ wrapped scheduler must not be touched directly once wrapped.
 
 from __future__ import annotations
 
+import functools
 import threading
-from typing import Hashable, List, Optional, Union
+from typing import List
 
-from repro.core.interface import ExpiryAction, Timer, TimerScheduler
+from repro.core.interface import Timer, TimerScheduler
+from repro.core.layer import SchedulerLayer
 
 
-class ThreadSafeScheduler:
+class ThreadSafeScheduler(SchedulerLayer):
     """Mutex-serialised facade over a :class:`TimerScheduler`.
 
-    Expiry callbacks run while the lock is held (they are part of
-    PER_TICK_BOOKKEEPING); re-entrant calls from the ticking thread's own
-    callbacks are supported via an RLock. Calls from *other* threads
-    inside a callback would deadlock by design — the module is a single
-    serialised resource, per the appendix's global-semaphore picture.
+    Every member :class:`SchedulerLayer` forwards runs under the module
+    lock (reads too, for a coherent view). Expiry callbacks run while the
+    lock is held (they are part of PER_TICK_BOOKKEEPING); re-entrant
+    calls from the ticking thread's own callbacks are supported via an
+    RLock. Calls from *other* threads inside a callback would deadlock by
+    design — the module is a single serialised resource, per the
+    appendix's global-semaphore picture.
     """
 
     def __init__(self, scheduler: TimerScheduler) -> None:
-        self._scheduler = scheduler
+        super().__init__(scheduler)
         self._lock = threading.RLock()
         #: acquisitions that had to wait (best effort; uses non-blocking
         #: probe so it undercounts under heavy contention races).
@@ -41,68 +45,6 @@ class ThreadSafeScheduler:
         if not self._lock.acquire(blocking=False):
             self.contended_acquisitions += 1
             self._lock.acquire()
-
-    # ----------------------------------------------------------- client API
-
-    def start_timer(
-        self,
-        interval: int,
-        request_id: Optional[Hashable] = None,
-        callback: Optional[ExpiryAction] = None,
-        user_data: object = None,
-    ) -> Timer:
-        """Serialised START_TIMER."""
-        self._acquire()
-        try:
-            return self._scheduler.start_timer(
-                interval,
-                request_id=request_id,
-                callback=callback,
-                user_data=user_data,
-            )
-        finally:
-            self._lock.release()
-
-    def stop_timer(self, timer_or_id: Union[Timer, Hashable]) -> Timer:
-        """Serialised STOP_TIMER."""
-        self._acquire()
-        try:
-            return self._scheduler.stop_timer(timer_or_id)
-        finally:
-            self._lock.release()
-
-    def update_timer(
-        self, timer_or_id: Union[Timer, Hashable], new_interval: int
-    ) -> Timer:
-        """Serialised UPDATE_TIMER (wheel-native re-arm, one lock hold)."""
-        self._acquire()
-        try:
-            return self._scheduler.update_timer(timer_or_id, new_interval)
-        finally:
-            self._lock.release()
-
-    def restart_timer(
-        self,
-        timer: Timer,
-        interval: Optional[int] = None,
-        request_id: Optional[Hashable] = None,
-    ) -> Timer:
-        """Serialised restart of a fired/stopped record."""
-        self._acquire()
-        try:
-            return self._scheduler.restart_timer(
-                timer, interval=interval, request_id=request_id
-            )
-        finally:
-            self._lock.release()
-
-    def tick(self) -> List[Timer]:
-        """Serialised PER_TICK_BOOKKEEPING (callbacks run under the lock)."""
-        self._acquire()
-        try:
-            return self._scheduler.tick()
-        finally:
-            self._lock.release()
 
     def advance(self, ticks: int) -> List[Timer]:
         """Advance ``ticks`` ticks, one serialised event hop at a time.
@@ -114,7 +56,7 @@ class ThreadSafeScheduler:
         """
         self._acquire()
         try:
-            deadline = self._scheduler.now + ticks
+            deadline = self.inner.now + ticks
         finally:
             self._lock.release()
         return self.advance_to(deadline)
@@ -124,72 +66,28 @@ class ThreadSafeScheduler:
 
         Between hops the lock is dropped, so a START_TIMER racing the
         jump can still land on a not-yet-skipped tick — each hop re-reads
-        the wrapped scheduler's next event under the lock.
+        the wrapped scheduler's :meth:`next_expiry` under the lock (the
+        public bound, so the wrapped scheduler may itself be a layer).
         """
         expired: List[Timer] = []
         while True:
             self._acquire()
             try:
-                now = self._scheduler.now
+                now = self.inner.now
                 if now >= deadline:
                     break
-                event = self._scheduler._next_event()
+                event = self.inner.next_expiry()
                 target = deadline if event is None else min(event, deadline)
                 if target <= now:
-                    # A stale _next_event claim (tick <= now) would make
+                    # A stale next-event claim (tick <= now) would make
                     # this hop a no-op and the loop spin forever; every
                     # hop must make strictly positive progress. now + 1
                     # never overshoots: deadline > now on this branch.
                     target = now + 1
-                expired.extend(self._scheduler.advance_to(target))
+                expired.extend(self.inner.advance_to(target))
             finally:
                 self._lock.release()
         return expired
-
-    def next_expiry(self) -> Optional[int]:
-        """Serialised lower bound on the next firing tick."""
-        with self._lock:
-            return self._scheduler.next_expiry()
-
-    def run_until_idle(self, max_ticks: int = 1_000_000) -> List[Timer]:
-        """Serialised run to quiescence (one lock hold; see the wrapped
-        scheduler for livelock semantics)."""
-        self._acquire()
-        try:
-            return self._scheduler.run_until_idle(max_ticks=max_ticks)
-        finally:
-            self._lock.release()
-
-    def shutdown(self) -> List[Timer]:
-        """Serialised shutdown."""
-        self._acquire()
-        try:
-            return self._scheduler.shutdown()
-        finally:
-            self._lock.release()
-
-    # --------------------------------------------------------- error handling
-
-    def set_error_policy(self, policy: str) -> None:
-        """Serialised error-policy switch.
-
-        Must hold the module lock: a racing ``advance_to`` hop reads the
-        policy mid-expiry, and an unserialised flip could let one batch
-        run half-"propagate", half-"collect".
-        """
-        self._acquire()
-        try:
-            self._scheduler.set_error_policy(policy)
-        finally:
-            self._lock.release()
-
-    def set_error_capacity(self, capacity: int) -> None:
-        """Serialised resize of the bounded error ring."""
-        self._acquire()
-        try:
-            self._scheduler.set_error_capacity(capacity)
-        finally:
-            self._lock.release()
 
     @property
     def callback_errors(self) -> List["tuple"]:
@@ -200,94 +98,41 @@ class ThreadSafeScheduler:
         wrapped scheduler mutates during expiry processing).
         """
         with self._lock:
-            return list(self._scheduler.callback_errors)
+            return list(self.inner.callback_errors)
 
-    @property
-    def dropped_errors(self) -> int:
-        """Collected failures evicted by the ring's capacity bound."""
-        with self._lock:
-            return self._scheduler.dropped_errors
 
-    def clear_callback_errors(self) -> List["tuple"]:
-        """Serialised drain of the collected-failure ring."""
+def _serialised(member):
+    """``member`` of :class:`SchedulerLayer`, run under the module lock.
+
+    ``set_error_policy`` is the case that shows why even the small
+    members take it: a racing ``advance_to`` hop reads the policy
+    mid-expiry, and an unserialised flip could let one batch run
+    half-"propagate", half-"collect".
+    """
+    if isinstance(member, property):
+        read = member.fget
+
+        def locked_read(self):
+            self._acquire()
+            try:
+                return read(self)
+            finally:
+                self._lock.release()
+
+        return property(locked_read, doc=member.__doc__)
+
+    @functools.wraps(member)
+    def locked_call(self, *args, **kwargs):
         self._acquire()
         try:
-            return self._scheduler.clear_callback_errors()
+            return member(self, *args, **kwargs)
         finally:
             self._lock.release()
 
-    # ------------------------------------------------------------ inspection
+    return locked_call
 
-    @property
-    def now(self) -> int:
-        """Current tick (reads are serialised too, for a coherent view)."""
-        with self._lock:
-            return self._scheduler.now
 
-    @property
-    def pending_count(self) -> int:
-        """Outstanding timers."""
-        with self._lock:
-            return self._scheduler.pending_count
-
-    def is_pending(self, request_id: Hashable) -> bool:
-        """True when ``request_id`` names an outstanding timer."""
-        with self._lock:
-            return self._scheduler.is_pending(request_id)
-
-    def get_timer(self, request_id: Hashable) -> Timer:
-        """Serialised lookup of a pending timer's record."""
-        with self._lock:
-            return self._scheduler.get_timer(request_id)
-
-    def pending_timers(self) -> List[Timer]:
-        """Serialised snapshot of the outstanding records."""
-        with self._lock:
-            return self._scheduler.pending_timers()
-
-    def max_start_interval(self) -> Optional[int]:
-        """Serialised START_TIMER interval bound of the wrapped scheme."""
-        with self._lock:
-            return self._scheduler.max_start_interval()
-
-    @property
-    def free_record_count(self) -> int:
-        """Recycled records pooled by the wrapped scheduler."""
-        with self._lock:
-            return self._scheduler.free_record_count
-
-    @property
-    def is_shut_down(self) -> bool:
-        """True after :meth:`shutdown`."""
-        with self._lock:
-            return self._scheduler.is_shut_down
-
-    @property
-    def ERROR_POLICIES(self):
-        """The wrapped scheduler's accepted error-policy names."""
-        return self._scheduler.ERROR_POLICIES
-
-    @property
-    def scheme_name(self) -> str:
-        """Wrapped scheme's registry name."""
-        return self._scheduler.scheme_name
-
-    @property
-    def counter(self):
-        """The wrapped scheduler's op counter."""
-        return self._scheduler.counter
-
-    def introspect(self):
-        """Serialised structure snapshot of the wrapped scheduler."""
-        with self._lock:
-            return self._scheduler.introspect()
-
-    def attach_observer(self, observer):
-        """Serialised observer attachment on the wrapped scheduler."""
-        with self._lock:
-            return self._scheduler.attach_observer(observer)
-
-    def detach_observer(self):
-        """Serialised observer detachment on the wrapped scheduler."""
-        with self._lock:
-            return self._scheduler.detach_observer()
+for _name, _member in vars(SchedulerLayer).items():
+    if not _name.startswith("_") and _name not in vars(ThreadSafeScheduler):
+        setattr(ThreadSafeScheduler, _name, _serialised(_member))
+del _name, _member

@@ -24,9 +24,9 @@ Semantics the journal buys, and their price (``docs/durability.md``):
 * expiry actions are **at-least-once**: a callback that ran just before
   the crash, whose outcome record missed the disk, runs again after
   recovery. Exactly-once is impossible without client cooperation; the
-  chaos oracle (:func:`repro.faults.chaos_durable.run_chaos_durable`)
-  proves the *state* converges to the uninterrupted run bit-for-bit
-  regardless.
+  chaos oracle (:func:`repro.faults.chaos.run_chaos` with a durable
+  kill point) proves the *state* converges to the uninterrupted run
+  bit-for-bit regardless.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from repro.core.errors import (
     TimerStateError,
 )
 from repro.core.interface import ExpiryAction, Timer
+from repro.core.layer import SchedulerLayer
 from repro.core.supervision import QuarantineRecord, origin_of
 from repro.core.validation import check_interval
 from repro.durability.journal import (
@@ -96,7 +97,7 @@ class RecoveryReport:
         return lines
 
 
-class DurableScheduler:
+class DurableScheduler(SchedulerLayer):
     """Write-ahead-journaled facade over a scheduler stack.
 
     Request ids must be strings (they become JSON journal keys) and
@@ -136,7 +137,7 @@ class DurableScheduler:
                     f"{journal_path} already holds a journal; use "
                     "repro.durability.recover() to resume it"
                 )
-        self.stack = scheduler
+        super().__init__(scheduler)
         self.snapshot_every = snapshot_every
         self.keep_snapshots = keep_snapshots
         self._state = state if state is not None else DurableState()
@@ -165,7 +166,7 @@ class DurableScheduler:
         user_data: object = None,
     ) -> Timer:
         """START_TIMER, journaled before the stack is touched."""
-        stack = self.stack
+        stack = self.inner
         auto = request_id is None
         if auto:
             request_id = f"auto-d{self._state.auto_seq}"
@@ -205,7 +206,7 @@ class DurableScheduler:
 
     def stop_timer(self, timer_or_id: Union[Timer, Hashable]) -> Timer:
         """STOP_TIMER, journaled before the stack is touched."""
-        stack = self.stack
+        stack = self.inner
         if isinstance(timer_or_id, Timer):
             origin = origin_of(timer_or_id.request_id)
         else:
@@ -227,7 +228,7 @@ class DurableScheduler:
         so the journal stays one line per client op and the recovered id
         is the original one.
         """
-        stack = self.stack
+        stack = self.inner
         if isinstance(timer_or_id, Timer):
             origin = origin_of(timer_or_id.request_id)
         else:
@@ -252,18 +253,18 @@ class DurableScheduler:
 
     def tick(self) -> List[Timer]:
         """One supervised tick, with its clock motion journaled."""
-        return self._advance_to(self.stack.now + 1)
+        return self._advance_to(self.inner.now + 1)
 
     def advance(self, ticks: int) -> List[Timer]:
         """Advance ``ticks`` ticks; the clock motion is journaled first."""
-        return self._advance_to(self.stack.now + ticks)
+        return self._advance_to(self.inner.now + ticks)
 
     def advance_to(self, deadline: int) -> List[Timer]:
         """Advance to an absolute tick; the motion is journaled first."""
         return self._advance_to(deadline)
 
     def _advance_to(self, target: int) -> List[Timer]:
-        stack = self.stack
+        stack = self.inner
         if target > stack.now:
             self._append("advance", {"target": target})
         fired = stack.advance_to(target)
@@ -274,7 +275,7 @@ class DurableScheduler:
 
     def run_until_idle(self, max_ticks: int = 1_000_000) -> List[Timer]:
         """Drain the stack, then journal the net clock motion."""
-        stack = self.stack
+        stack = self.inner
         fired = stack.run_until_idle(max_ticks=max_ticks)
         if not self._supervised:
             self._journal_plain_expiries(fired)
@@ -285,7 +286,7 @@ class DurableScheduler:
 
     def sync_clock(self, wall_tick: int) -> List[Timer]:
         """Follow an external clock reading (supervised stacks only)."""
-        stack = self.stack
+        stack = self.inner
         if not hasattr(stack, "sync_clock"):
             raise TimerStateError(
                 "sync_clock requires a SupervisedScheduler stack"
@@ -295,9 +296,25 @@ class DurableScheduler:
         self._maybe_snapshot()
         return fired
 
+    def restart_timer(
+        self,
+        timer: Timer,
+        interval: Optional[int] = None,
+        request_id: Optional[Hashable] = None,
+    ) -> Timer:
+        """Not supported: a record-level restart would bypass the journal.
+
+        Recovery rebuilds timers from ``start`` records; a restarted
+        record has none. Re-arm a finished timer with :meth:`start_timer`.
+        """
+        raise TimerStateError(
+            "DurableScheduler cannot restart a record in place; "
+            "use start_timer so the re-arm is journaled"
+        )
+
     def shutdown(self) -> List[Timer]:
         """Shut the stack down and close the journal (flushes first)."""
-        cancelled = self.stack.shutdown()
+        cancelled = self.inner.shutdown()
         self.close()
         return cancelled
 
@@ -321,7 +338,7 @@ class DurableScheduler:
                     "id": str(timer.request_id),
                     "deadline": timer.deadline,
                     "attempts": 1,
-                    "now": self.stack.now,
+                    "now": self.inner.now,
                 },
             )
 
@@ -374,45 +391,9 @@ class DurableScheduler:
         """The underlying :class:`~repro.durability.journal.Journal`."""
         return self._journal
 
-    @property
-    def now(self) -> int:
-        """The stack's current tick."""
-        return self.stack.now
-
-    @property
-    def pending_count(self) -> int:
-        """Live timers in the stack."""
-        return self.stack.pending_count
-
-    def is_pending(self, request_id: Hashable) -> bool:
-        """Whether the stack holds a live timer for this id."""
-        return self.stack.is_pending(request_id)
-
-    def next_expiry(self) -> Optional[int]:
-        """The stack's next expiry tick, or ``None`` when idle."""
-        return self.stack.next_expiry()
-
-    def max_start_interval(self) -> Optional[int]:
-        """The stack's interval bound (see PER_TICK bookkeeping docs)."""
-        return self.stack.max_start_interval()
-
-    def pending_timers(self):
-        """The stack's live timers (scheme-defined iteration order)."""
-        return self.stack.pending_timers()
-
-    @property
-    def counter(self):
-        """The stack's operation counter."""
-        return self.stack.counter
-
-    @property
-    def scheme_name(self) -> str:
-        """The underlying scheme module's name."""
-        return self.stack.scheme_name
-
     def introspect(self) -> Dict[str, object]:
         """The stack's introspection dict plus a ``"durability"`` section."""
-        info = self.stack.introspect()
+        info = self.inner.introspect()
         info["durability"] = {
             "directory": str(self.directory),
             "sync": self._journal.sync,
@@ -429,7 +410,7 @@ class DurableScheduler:
 
     def __repr__(self) -> str:
         return (
-            f"DurableScheduler({self.stack!r}, dir={str(self.directory)!r}, "
+            f"DurableScheduler({self.inner!r}, dir={str(self.directory)!r}, "
             f"sync={self._journal.sync!r}, seq={self._journal.last_seq})"
         )
 

@@ -14,12 +14,15 @@ The harness has four layers, each usable on its own:
   ``SupervisedScheduler.sync_clock``.
 * :mod:`repro.faults.chaos` — the differential suite: one plan replayed
   across all nine scheme modules must yield identical surviving-expiry
-  sequences and identical retry/quarantine/shed counts.
+  sequences and identical retry/quarantine/shed counts. :func:`run_chaos`
+  takes the stack's composition (shards and backend, async runtime,
+  durable journal) as parameters; every composition must reproduce the
+  plain run's fingerprint.
 * :mod:`repro.faults.crash` / :mod:`repro.faults.chaos_durable` — the
   crash layer: :class:`CrashPoint` kills the durable service at a seeded
-  journal seq (log left missing / torn / corrupt / durable) and
-  :func:`run_chaos_durable` proves recovery reproduces the
-  uninterrupted fingerprint bit-for-bit.
+  journal seq (log left missing / torn / corrupt / durable), and
+  ``run_chaos(scheme, durable=DurableSpec(kill_at_seq=...))`` proves
+  recovery reproduces the uninterrupted fingerprint bit-for-bit.
 """
 
 from repro.faults.chaos import (
@@ -28,11 +31,12 @@ from repro.faults.chaos import (
     ChaosResult,
     ChaosWorkload,
     DifferentialReport,
+    DurableReport,
+    DurableSpec,
+    fingerprint,
     run_chaos,
-    run_chaos_sharded,
     run_differential,
 )
-from repro.faults.chaos_durable import DurableChaosRun, run_chaos_durable
 from repro.faults.clock import SkewedClock, drive, jump_offsets
 from repro.faults.crash import CRASH_MODES, CrashPoint, SimulatedCrash
 from repro.faults.injector import (
@@ -53,7 +57,8 @@ __all__ = [
     "CrashPoint",
     "DEFAULT_PLAN",
     "DifferentialReport",
-    "DurableChaosRun",
+    "DurableReport",
+    "DurableSpec",
     "FaultInjector",
     "FaultPlan",
     "HangingCallbackError",
@@ -65,9 +70,8 @@ __all__ = [
     "SkewedClock",
     "TransientStopRace",
     "drive",
+    "fingerprint",
     "jump_offsets",
     "run_chaos",
-    "run_chaos_durable",
-    "run_chaos_sharded",
     "run_differential",
 ]

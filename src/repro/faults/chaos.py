@@ -18,25 +18,53 @@ and how hard each had to be retried*, is scheme-invariant; the firing
 instant is not. Client stops are scheduled strictly before any scheme's
 earliest possible (early-fired) deadline so the stop/fire race cannot
 diverge between exact and lossy hierarchies.
+
+The same replay runs through composed stacks — sharded over any
+execution backend, behind the async runtime, journaled (and killed and
+recovered) by the durable layer: :func:`run_chaos` takes each
+composition as a parameter, and every composition must reproduce the
+plain supervised run's fingerprint.
 """
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import functools
 import random
+import shutil
+import tempfile
+import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.errors import TimerStateError, UnknownTimerError
+from repro.core.layer import SchedulerLayer
 from repro.core.registry import make_scheduler, scheme_names
 from repro.core.supervision import RetryPolicy, SupervisedScheduler
 from repro.faults.clock import SkewedClock
+from repro.faults.crash import CrashPoint, SimulatedCrash
 from repro.faults.injector import (
     AllocationPressure,
     FaultInjector,
     TransientStopRace,
 )
 from repro.faults.plan import FaultPlan
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.durability.service import RecoveryReport
 
 #: Construction kwargs giving every scheme room for the chaos workload's
 #: interval range (<= ~4000 ticks plus retry backoffs).
@@ -63,6 +91,31 @@ DEFAULT_PLAN = FaultPlan(
         "t9": ("fail", "fail", "fail", "fail"),
     },
 )
+
+#: The retry policy every chaos run uses unless given another.
+DEFAULT_RETRY_POLICY = RetryPolicy(
+    max_attempts=3, base_backoff=1, backoff_multiplier=2.0, max_backoff=48
+)
+
+#: Fingerprint fields a finite tick budget makes stack-dependent: shedding
+#: follows each scheme's per-tick burstiness, and a sharded stack meters
+#: the budget per shard.
+BUDGET_DEPENDENT = frozenset({
+    "shed", "retries", "injected_failures", "injected_hangs",
+    "slow_invocations", "survivors", "quarantined",
+})
+
+
+def fingerprint(pairs: Iterable[Tuple[int, int]]) -> int:
+    """CRC-32 over sorted ``(fired_at, interval)`` expiry pairs.
+
+    Order-independent, so schemes with different within-tick drain
+    orders still compare equal.
+    """
+    crc = 0
+    for fired_at, interval in sorted(pairs):
+        crc = zlib.crc32(b"%d:%d;" % (fired_at, interval), crc)
+    return crc
 
 
 @dataclass(frozen=True)
@@ -108,10 +161,55 @@ class ChaosWorkload:
         return schedule
 
 
+@dataclass(frozen=True)
+class DurableSpec:
+    """The durable layer of a chaos stack.
+
+    ``sync``/``batch_size``/``snapshot_every`` configure each
+    :class:`~repro.durability.service.DurableScheduler`. ``kill_at_seq``
+    and ``crash_mode`` (or, when ``kill_at_seq`` is ``None``, the plan's
+    own ``crash_at_seq`` fields) place a
+    :class:`~repro.faults.crash.CrashPoint`: the service dies there, is
+    recovered from disk, and the clients re-issue what the journal lost
+    (:mod:`repro.faults.chaos_durable`). ``journal_dir=None`` uses a
+    temp directory, removed afterwards.
+    """
+
+    sync: str = "batch"
+    kill_at_seq: Optional[int] = None
+    crash_mode: str = "after"
+    journal_dir: Optional[Union[str, Path]] = None
+    batch_size: int = 16
+    snapshot_every: Optional[int] = 64
+
+    def crash_point(self, plan: FaultPlan) -> Optional[CrashPoint]:
+        """Where the run dies, if anywhere."""
+        if self.kill_at_seq is not None:
+            return CrashPoint(self.kill_at_seq, self.crash_mode)
+        return plan.crash_point()
+
+
+@dataclass
+class DurableReport:
+    """What the durable layer of a chaos run saw: the crash, if any, and
+    the journal it left."""
+
+    crashed: bool
+    crash: Optional[CrashPoint]
+    recovery: Optional["RecoveryReport"]
+    #: the journal directory, or ``None`` when it was a removed temp dir.
+    journal_dir: Optional[str]
+    records_appended: int
+    fsyncs: int
+    snapshots_kept: int
+
+
 @dataclass
 class ChaosResult:
-    """Everything one scheme's chaos run produced."""
+    """Everything one chaos run produced."""
 
+    #: the stack's label, e.g. ``scheme6``, ``sharded[4xscheme6]``,
+    #: ``async:scheme1``.
     scheme: str
     #: (request_id, client deadline, attempts) sorted by (deadline, id).
     survivors: Tuple[Tuple[str, int, int], ...]
@@ -132,6 +230,8 @@ class ChaosResult:
     slow_invocations: int
     pending_left: int
     introspection: Dict[str, object] = field(default_factory=dict)
+    #: set when the stack had a durable layer.
+    durable: Optional[DurableReport] = None
 
     def fingerprint(self) -> Dict[str, object]:
         """The scheme-invariant subset the differential check compares."""
@@ -164,119 +264,16 @@ class ChaosResult:
         )
 
 
-def run_chaos(
-    scheme: str,
-    plan: Optional[FaultPlan] = None,
-    workload: Optional[ChaosWorkload] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    tick_budget: Optional[int] = None,
-    overload_policy: str = "defer",
-    drain_ticks: int = 100_000,
-    scheme_kwargs: Optional[Dict[str, object]] = None,
-) -> ChaosResult:
-    """Replay one fault plan + workload against one scheme, supervised.
+class ChaosShard(SchedulerLayer):
+    """The top of one chaos stack: fault wrapping plus the run's counters.
 
-    Client operations are issued by *step number* (the external clock's
-    drive count), then the supervisor syncs to the skewed clock reading —
-    so the operation stream, and therefore every planned fault decision,
-    is identical whatever scheme sits underneath. After the drive, the
-    run drains until idle so every retry chain resolves to a survivor or
-    a quarantine entry.
-
-    ``scheme_kwargs`` overlays extra constructor kwargs on the scheme's
-    :data:`SCHEME_KWARGS` defaults — e.g. ``{"store": "soa"}`` replays
-    the plan against a struct-of-arrays-backed wheel, whose fingerprint
-    must match the object store's exactly.
-    """
-    plan = plan if plan is not None else DEFAULT_PLAN
-    workload = workload if workload is not None else ChaosWorkload()
-    policy = retry_policy if retry_policy is not None else RetryPolicy(
-        max_attempts=3, base_backoff=1, backoff_multiplier=2.0, max_backoff=48
-    )
-    build_kwargs = dict(SCHEME_KWARGS.get(scheme, {}))
-    if scheme_kwargs:
-        build_kwargs.update(scheme_kwargs)
-    inner = make_scheduler(scheme, **build_kwargs)
-    injector = FaultInjector(plan)
-    supervised = SupervisedScheduler(
-        inner,
-        retry_policy=policy,
-        tick_budget=tick_budget,
-        overload_policy=overload_policy,
-        cost_hook=injector.cost_of,
-    )
-    schedule = workload.ops()
-    stopped = 0
-    alloc_skipped = 0
-    clock = SkewedClock(plan.clock_jumps)
-    for step, reading in enumerate(clock.ticks(workload.horizon), start=1):
-        for op, key, interval in schedule.get(step, ()):
-            if op == "start":
-                try:
-                    injector.start_timer(supervised, interval, request_id=key)
-                except AllocationPressure:
-                    alloc_skipped += 1
-            else:
-                if not supervised.is_pending(key):
-                    continue
-                try:
-                    injector.stop_timer(supervised, key)
-                except TransientStopRace:
-                    # The race is transient by construction: retry once.
-                    try:
-                        injector.stop_timer(supervised, key)
-                    except (UnknownTimerError, TimerStateError):
-                        continue
-                stopped += 1
-        supervised.sync_clock(reading)
-    supervised.run_until_idle(max_ticks=drain_ticks)
-    survivors = tuple(
-        sorted(
-            (
-                (str(origin), deadline, attempts)
-                for origin, deadline, attempts in supervised.survivors
-            ),
-            key=lambda row: (row[1], row[0]),
-        )
-    )
-    quarantined = tuple(
-        sorted(
-            (str(rec.request_id), rec.attempts, rec.reason)
-            for rec in supervised.quarantine.values()
-        )
-    )
-    return ChaosResult(
-        scheme=scheme,
-        survivors=survivors,
-        quarantined=quarantined,
-        retries=supervised.retries,
-        shed=supervised.shed_total,
-        deferred=supervised.deferred,
-        dropped=supervised.dropped,
-        degraded=supervised.degraded,
-        clock_jumps=supervised.clock_jumps,
-        overruns=supervised.overruns,
-        stopped=stopped,
-        alloc_skipped=alloc_skipped,
-        stop_races=injector.stop_races,
-        injected_failures=injector.injected_failures,
-        injected_hangs=injector.injected_hangs,
-        slow_invocations=injector.slow_invocations,
-        pending_left=supervised.supervised_count,
-        introspection=supervised.introspect(),
-    )
-
-
-class ChaosSupervisedShard(SupervisedScheduler):
-    """One shard of a sharded chaos run: supervision + fault wrapping.
-
-    Owns its *own* :class:`FaultInjector` so the whole assembly lives on
-    whichever side of a backend boundary the shard scheduler does — in
-    this process (inprocess backend) or inside a worker
-    (multiprocessing / subinterpreter backends). Every STARTed callback
-    is wrapped at this seam; supervisor re-arms go through the inner
-    scheduler directly, so the wrap happens exactly once per client
-    timer.
+    Below it sits a supervised scheme, behind a
+    :class:`~repro.durability.service.DurableScheduler` when the stack
+    is durable. Unsharded, one ChaosShard is the whole stack; sharded,
+    every shard is one, living wherever the backend runs it — this
+    process, a worker process, a sub-interpreter. Every STARTed callback
+    is wrapped at this seam; supervisor re-arms go through the scheme
+    directly, so the wrap happens exactly once per client timer.
 
     Determinism across backends: the service routes each request id to
     exactly one shard, so the per-shard attempt maps partition the
@@ -285,26 +282,22 @@ class ChaosSupervisedShard(SupervisedScheduler):
     shard executes cannot change any outcome. Summing the per-shard
     injected counters therefore reproduces the shared-injector totals
     exactly. Order-*dependent* seams (allocator pressure, stop races)
-    never reach this class — the driver keeps them client-side via
-    :meth:`FaultInjector.check_alloc` / ``check_stop_race``.
+    never reach this class — the client keeps them
+    (:meth:`FaultInjector.check_alloc` / ``check_stop_race``).
     """
 
     def __init__(
         self,
         inner,
+        supervisor: SupervisedScheduler,
         injector: FaultInjector,
-        retry_policy: Optional[RetryPolicy] = None,
-        tick_budget: Optional[int] = None,
-        overload_policy: str = "defer",
+        durable=None,
     ) -> None:
-        self.chaos_injector = injector
-        super().__init__(
-            inner,
-            retry_policy=retry_policy,
-            tick_budget=tick_budget,
-            overload_policy=overload_policy,
-            cost_hook=injector.cost_of,
-        )
+        super().__init__(inner)
+        self.supervisor = supervisor
+        self.injector = injector
+        #: the DurableScheduler layer, when the stack has one.
+        self.durable = durable
 
     def start_timer(
         self,
@@ -313,36 +306,65 @@ class ChaosSupervisedShard(SupervisedScheduler):
         callback=None,
         user_data: object = None,
     ):
+        """START_TIMER with the callback behind the plan's fault wrapper."""
         # key=None: the plan key resolves from the fired timer's origin,
         # so re-arm attempts continue the same per-id series.
-        return super().start_timer(
+        return self.inner.start_timer(
             interval,
             request_id=request_id,
-            callback=self.chaos_injector.wrap_action(callback, key=None),
+            callback=self.injector.wrap_action(callback, key=None),
             user_data=user_data,
         )
 
-    def chaos_stats(self) -> Dict[str, object]:
-        """This shard's contribution to the run fingerprint (picklable)."""
-        return {
+    def sync_clock(self, wall_tick: int):
+        """Follow the chaos clock (the supervisor's jump discipline)."""
+        return self.inner.sync_clock(wall_tick)
+
+    def finish(self) -> Dict[str, object]:
+        """This shard's contribution to the run's result (picklable).
+
+        Closes the durable layer first, which group-commits the journal
+        the way a clean shutdown would.
+        """
+        supervisor = self.supervisor
+        stats: Dict[str, object] = {
             "survivors": [
                 (str(origin), deadline, attempts)
-                for origin, deadline, attempts in self.survivors
+                for origin, deadline, attempts in supervisor.survivors
             ],
             "quarantined": [
                 (str(rec.request_id), rec.attempts, rec.reason)
-                for rec in self.quarantine.values()
+                for rec in supervisor.quarantine.values()
             ],
-            "retries": self.retries,
-            "shed": self.shed_total,
-            "deferred": self.deferred,
-            "dropped": self.dropped,
-            "degraded": self.degraded,
-            "clock_jumps": self.clock_jumps,
-            "overruns": self.overruns,
-            "pending_left": self.supervised_count,
-            "injected": self.chaos_injector.counters(),
+            "pending_left": supervisor.supervised_count,
+            "counters": supervisor.counters(),
+            "injected": self.injector.counters(),
         }
+        if self.durable is not None:
+            self.durable.close()
+            stats["journal"] = (
+                self.durable.journal.last_seq,
+                self.durable.journal.fsyncs,
+            )
+        return stats
+
+
+def _build_supervisor(
+    scheme: str,
+    scheme_kwargs: Dict[str, object],
+    injector: FaultInjector,
+    retry_policy: RetryPolicy,
+    tick_budget: Optional[int],
+    overload_policy: str,
+) -> SupervisedScheduler:
+    """A fresh supervised scheme priced by the plan's cost hook."""
+    return SupervisedScheduler(
+        make_scheduler(scheme, **scheme_kwargs),
+        retry_policy=retry_policy,
+        tick_budget=tick_budget,
+        overload_policy=overload_policy,
+        cost_hook=injector.cost_of,
+    )
 
 
 def build_chaos_shard(
@@ -353,158 +375,353 @@ def build_chaos_shard(
     retry_policy: RetryPolicy,
     tick_budget: Optional[int],
     overload_policy: str,
-) -> ChaosSupervisedShard:
-    """Module-level shard factory — picklable, so every backend can use it."""
-    return ChaosSupervisedShard(
-        make_scheduler(scheme, **scheme_kwargs),
-        FaultInjector(plan),
-        retry_policy=retry_policy,
-        tick_budget=tick_budget,
-        overload_policy=overload_policy,
+    durable: Optional[DurableSpec] = None,
+    journal_dir: Optional[str] = None,
+    injector: Optional[FaultInjector] = None,
+) -> ChaosShard:
+    """Module-level shard factory — picklable, so every backend can use it.
+
+    A sharded stack gives every shard its own injector and journal
+    directory (``<journal_dir>/shard<index>``); an unsharded one passes
+    the client's injector, so one object holds both halves of the plan.
+    """
+    sharded = injector is None
+    injector = FaultInjector(plan) if sharded else injector
+    supervisor = _build_supervisor(
+        scheme, scheme_kwargs, injector, retry_policy, tick_budget, overload_policy
     )
+    if durable is None:
+        return ChaosShard(supervisor, supervisor, injector)
+    from repro.durability.service import DurableScheduler
+
+    layer = DurableScheduler(
+        supervisor,
+        Path(journal_dir) / f"shard{index}" if sharded else journal_dir,
+        sync=durable.sync,
+        batch_size=durable.batch_size,
+        snapshot_every=durable.snapshot_every,
+        crash=durable.crash_point(plan),
+        fsync_fail_at_seq=plan.fsync_fail_at_seq,
+    )
+    return ChaosShard(layer, supervisor, injector, layer)
 
 
-def run_chaos_sharded(
-    scheme: str = "scheme6",
-    shards: int = 4,
+def _client_ops(
+    workload: ChaosWorkload, plan: FaultPlan
+) -> List[Tuple[str, object, int]]:
+    """The client op stream as one ordered list: each step's start/stop
+    ops, then that step's (skewed) clock reading as a ``sync`` op."""
+    schedule = workload.ops()
+    clock = SkewedClock(plan.clock_jumps)
+    ops: List[Tuple[str, object, int]] = []
+    for step, reading in enumerate(clock.ticks(workload.horizon), start=1):
+        ops.extend(schedule.get(step, ()))
+        ops.append(("sync", reading, 0))
+    return ops
+
+
+class ChaosClient:
+    """The client side of a chaos run: the one drive loop.
+
+    Issues the op stream to ``stack`` through the order-dependent fault
+    seams, which stay here whatever the stack — the allocator-pressure
+    decision depends on the client's serial start order, the stop race
+    on the client colliding with expiry processing. Clock readings and
+    the final drain go to ``clock``: the stack itself, or the async
+    runtime in front of it. Remembers which keys it stopped and which
+    starts the allocator refused, and how far it got (``cursor``), so a
+    crash-recovered run knows what is left to re-issue.
+    """
+
+    def __init__(
+        self,
+        stack,
+        injector: FaultInjector,
+        drain_ticks: int,
+        transient: Tuple[type, ...] = (),
+    ) -> None:
+        self.stack = stack
+        self.clock = stack
+        self.injector = injector
+        self.drain_ticks = drain_ticks
+        #: one-shot service errors whose retry goes through (an injected
+        #: journal fsync failure).
+        self.transient = transient
+        self.stopped: Set[str] = set()
+        self.alloc_failed: Set[str] = set()
+        self.cursor = -1
+
+    def call(self, method, *args, **kwargs):
+        """One service call, retried once past a transient error."""
+        try:
+            return method(*args, **kwargs)
+        except self.transient:
+            return method(*args, **kwargs)
+
+    def start(self, key: str, interval: int) -> None:
+        """START_TIMER unless the allocator-pressure seam refuses it."""
+        try:
+            self.injector.check_alloc()
+        except AllocationPressure:
+            self.alloc_failed.add(key)
+            return
+        self.call(self.stack.start_timer, interval, request_id=key)
+
+    def stop(self, key: str) -> None:
+        """STOP_TIMER of a live timer, riding out a planned stop race."""
+        if not self.stack.is_pending(key):
+            return
+        try:
+            self.injector.check_stop_race(key)
+        except TransientStopRace:
+            # The race is transient by construction: retry once.
+            try:
+                self.stack.stop_timer(key)
+            except (UnknownTimerError, TimerStateError):
+                return
+        else:
+            self.call(self.stack.stop_timer, key)
+        self.stopped.add(key)
+
+    def sync(self, reading: int) -> None:
+        """Feed one clock reading."""
+        self.call(self.clock.sync_clock, reading)
+
+    def run(self, ops: List[Tuple[str, object, int]]) -> None:
+        """Issue every op in order, then drain until idle."""
+        for index, (kind, key, value) in enumerate(ops):
+            self.cursor = index
+            if kind == "start":
+                self.start(key, value)
+            elif kind == "stop":
+                self.stop(key)
+            else:
+                self.sync(key)
+        self.cursor = len(ops)
+        self.clock.run_until_idle(max_ticks=self.drain_ticks)
+
+
+class _Runtime:
+    """An :class:`~repro.runtime.service.AsyncTimerService` on a
+    :class:`~repro.runtime.clock.FakeClock` in front of a stack, driven
+    from synchronous code: each reading and the drain run under the
+    event loop (the runtime's explicit-sync ``advance_clock`` mode)."""
+
+    def __init__(self, stack) -> None:
+        from repro.runtime.clock import FakeClock
+        from repro.runtime.service import AsyncTimerService
+
+        self._loop = asyncio.new_event_loop()
+        self.service = AsyncTimerService(
+            stack, tick_duration=1.0, clock=FakeClock()
+        )
+        self._loop.run_until_complete(self.service.start())
+
+    def sync_clock(self, reading: int):
+        return self._loop.run_until_complete(self.service.advance_clock(reading))
+
+    def run_until_idle(self, max_ticks: int):
+        return self._loop.run_until_complete(
+            self.service.run_until_idle(max_ticks=max_ticks)
+        )
+
+    def close(self) -> None:
+        try:
+            self._loop.run_until_complete(self.service.aclose())
+        finally:
+            self._loop.close()
+
+
+def run_chaos(
+    scheme: str,
     plan: Optional[FaultPlan] = None,
     workload: Optional[ChaosWorkload] = None,
     retry_policy: Optional[RetryPolicy] = None,
     tick_budget: Optional[int] = None,
     overload_policy: str = "defer",
     drain_ticks: int = 100_000,
+    scheme_kwargs: Optional[Dict[str, object]] = None,
+    *,
+    shards: Optional[int] = None,
     backend: str = "inprocess",
     backend_options: Optional[Dict[str, object]] = None,
+    runtime: bool = False,
+    durable: Optional[DurableSpec] = None,
 ) -> ChaosResult:
-    """Replay one fault plan + workload through a sharded service.
+    """Replay one fault plan + workload through one stack.
 
-    Every shard is a :class:`ChaosSupervisedShard` — a supervised
-    scheme with its own fault injector — hosted wherever ``backend``
-    puts it (this process, a worker process, a sub-interpreter). Client
-    ops route through the service so each request id lands on its
-    stable shard; the order-dependent fault seams (allocator pressure,
-    stop races) run client-side through one shared injector, exactly as
-    the unsharded driver issues them.
+    The stack, bottom up: ``scheme`` (with ``scheme_kwargs`` overlaid on
+    its :data:`SCHEME_KWARGS` defaults, e.g. ``{"store": "soa"}``) →
+    supervision → a durable journal when ``durable`` is given → a
+    :class:`ChaosShard` → a ``shards``-way sharded service on
+    ``backend`` when ``shards`` is given → the async runtime when
+    ``runtime`` is true. Every composition replays the identical client
+    op stream, and every fault decision is a pure function of
+    ``(request_id, attempt)``, so the fingerprint must equal the plain
+    supervised run's: partitioning may move timers between queues,
+    backends may move queues between address spaces, the runtime may
+    deliver the clock from an event loop, and the journal may kill and
+    recover the process — none may change what survives or how hard it
+    was retried.
 
-    Because the op stream is the same serial sequence :func:`run_chaos`
-    issues — and every remaining injector decision is a pure function
-    of ``(request_id, attempt)`` — the fingerprint must match the
-    unsharded run's exactly, *for every backend*: partitioning may move
-    timers between queues, and backends may move queues between address
-    spaces, but neither may change what survives or how hard it was
-    retried.
+    Client operations are issued by *step number* (the external clock's
+    drive count), then the stack syncs to the skewed clock reading;
+    after the drive the run drains until idle so every retry chain
+    resolves to a survivor or a quarantine entry.
 
-    Per-shard supervisors each count the *same* external clock-jump
-    sequence, so ``clock_jumps`` is read from one shard, not summed;
-    order-insensitive totals (retries, shed, quarantine) are summed.
-    Use the default ``tick_budget=None`` when comparing against an
-    unsharded run — a finite budget applies *per shard* here, so
-    shedding decisions legitimately diverge.
+    Per-shard supervisors each count the *same* clock-jump sequence, so
+    ``clock_jumps`` is read from one shard, not summed. A finite
+    ``tick_budget`` applies *per shard*, so sharded shedding legitimately
+    diverges from the unsharded run's (see :data:`BUDGET_DEPENDENT`).
+    A kill point (see :class:`DurableSpec`) needs the unsharded,
+    synchronous stack.
     """
-    from repro.sharding.service import ShardedTimerService
-
     plan = plan if plan is not None else DEFAULT_PLAN
     workload = workload if workload is not None else ChaosWorkload()
-    policy = retry_policy if retry_policy is not None else RetryPolicy(
-        max_attempts=3, base_backoff=1, backoff_multiplier=2.0, max_backoff=48
-    )
-    injector = FaultInjector(plan)  # client-side seams only
-    factory = functools.partial(
-        build_chaos_shard,
+    build_kwargs = dict(SCHEME_KWARGS.get(scheme, {}))
+    if scheme_kwargs:
+        build_kwargs.update(scheme_kwargs)
+    crash = durable.crash_point(plan) if durable is not None else None
+    if crash is not None and (shards is not None or runtime):
+        raise ValueError(
+            "a durable kill point needs the unsharded, synchronous stack"
+        )
+    injector = FaultInjector(plan)  # the client-side seams
+    supervisor_args = dict(
         scheme=scheme,
-        scheme_kwargs=dict(SCHEME_KWARGS.get(scheme, {})),
-        plan=plan,
-        retry_policy=policy,
+        scheme_kwargs=build_kwargs,
+        retry_policy=retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY,
         tick_budget=tick_budget,
         overload_policy=overload_policy,
     )
-    service = ShardedTimerService(
-        shards=shards,
-        shard_factory=factory,
-        backend=backend,
-        backend_options=backend_options,
-    )
-    try:
-        schedule = workload.ops()
-        stopped = 0
-        alloc_skipped = 0
-        clock = SkewedClock(plan.clock_jumps)
-        for step, reading in enumerate(clock.ticks(workload.horizon), start=1):
-            for op, key, interval in schedule.get(step, ()):
-                if op == "start":
-                    try:
-                        injector.check_alloc()
-                    except AllocationPressure:
-                        alloc_skipped += 1
-                        continue
-                    service.start_timer(interval, request_id=key)
-                else:
-                    if not service.is_pending(key):
-                        continue
-                    try:
-                        injector.check_stop_race(key)
-                    except TransientStopRace:
-                        # The race is transient by construction: retry once.
-                        try:
-                            service.stop_timer(key)
-                        except (UnknownTimerError, TimerStateError):
-                            continue
-                    else:
-                        service.stop_timer(key)
-                    stopped += 1
-            service.sync_clock(reading)
-        service.run_until_idle(max_ticks=drain_ticks)
-        gathered = service.backend.scatter([("call", "chaos_stats", (), {})])
-        stats: List[Dict[str, object]] = []
-        for per_shard in gathered:
-            status, value = per_shard[0]
-            if status == "err":
-                raise value
-            stats.append(value)
-        introspection = service.introspect()
-    finally:
-        service.close()
-    survivors = tuple(
-        sorted(
-            (
-                tuple(row)
-                for shard_stats in stats
-                for row in shard_stats["survivors"]
-            ),
-            key=lambda row: (row[1], row[0]),
+    transient: Tuple[type, ...] = ()
+    report: Optional[DurableReport] = None
+    with contextlib.ExitStack() as cleanup:
+        journal_dir: Optional[str] = None
+        if durable is not None:
+            from repro.durability.journal import JournalWriteError
+
+            transient = (JournalWriteError,)
+            if durable.journal_dir is not None:
+                journal_dir = str(durable.journal_dir)
+            else:
+                journal_dir = tempfile.mkdtemp(prefix="repro-durable-chaos-")
+                cleanup.callback(shutil.rmtree, journal_dir, ignore_errors=True)
+        factory = functools.partial(
+            build_chaos_shard,
+            plan=plan,
+            durable=durable,
+            journal_dir=journal_dir,
+            **supervisor_args,
         )
-    )
-    quarantined = tuple(
-        sorted(
-            tuple(row)
-            for shard_stats in stats
-            for row in shard_stats["quarantined"]
-        )
-    )
-    label = f"sharded[{shards}x{scheme}]"
-    if backend != "inprocess":
-        label = f"sharded[{shards}x{scheme}@{backend}]"
+        label = scheme
+        if shards is None:
+            stack = factory(0, injector=injector)
+        else:
+            from repro.sharding.service import ShardedTimerService
+
+            stack = ShardedTimerService(
+                shards=shards,
+                shard_factory=factory,
+                backend=backend,
+                backend_options=backend_options,
+            )
+            cleanup.callback(stack.close)
+            at = "" if backend == "inprocess" else f"@{backend}"
+            label = f"sharded[{shards}x{scheme}{at}]"
+        client = ChaosClient(stack, injector, drain_ticks, transient)
+        if runtime:
+            client.clock = _Runtime(stack)
+            cleanup.callback(client.clock.close)
+            label = f"async:{label}"
+        ops = _client_ops(workload, plan)
+        recovery = None
+        try:
+            client.run(ops)
+        except SimulatedCrash:
+            from repro.faults.chaos_durable import recover_and_reissue
+
+            recovery = recover_and_reissue(
+                client,
+                ops,
+                durable,
+                journal_dir,
+                lambda: _build_supervisor(injector=injector, **supervisor_args),
+            )
+        introspection = (
+            client.clock.service if runtime else client.stack
+        ).introspect()
+        if shards is None:
+            stats = [client.stack.finish()]
+        else:
+            stats = _scatter(client.stack, "finish")
+        if durable is not None:
+            report = DurableReport(
+                crashed=recovery is not None,
+                crash=crash,
+                recovery=recovery,
+                journal_dir=None if durable.journal_dir is None else journal_dir,
+                records_appended=sum(s["journal"][0] for s in stats),
+                fsyncs=sum(s["journal"][1] for s in stats),
+                snapshots_kept=len(list(Path(journal_dir).rglob("snapshot-*.json"))),
+            )
+    return _assemble(label, stats, client, introspection, report)
+
+
+def _scatter(service, method: str) -> List[object]:
+    """Call ``method`` on every shard, wherever the backend runs it."""
+    results = []
+    for (status, value), in service.backend.scatter([("call", method, (), {})]):
+        if status == "err":
+            raise value
+        results.append(value)
+    return results
+
+
+def _assemble(
+    label: str,
+    stats: List[Dict[str, object]],
+    client: ChaosClient,
+    introspection: Dict[str, object],
+    durable: Optional[DurableReport],
+) -> ChaosResult:
+    """One result from the per-shard stats and the client's counts."""
+
+    def total(name: str) -> int:
+        return sum(s["counters"][name] for s in stats)
+
+    def injected(name: str) -> int:
+        return sum(s["injected"][name] for s in stats)
+
     return ChaosResult(
         scheme=label,
-        survivors=survivors,
-        quarantined=quarantined,
-        retries=sum(s["retries"] for s in stats),
-        shed=sum(s["shed"] for s in stats),
-        deferred=sum(s["deferred"] for s in stats),
-        dropped=sum(s["dropped"] for s in stats),
-        degraded=sum(s["degraded"] for s in stats),
+        survivors=tuple(
+            sorted(
+                (tuple(row) for s in stats for row in s["survivors"]),
+                key=lambda row: (row[1], row[0]),
+            )
+        ),
+        quarantined=tuple(
+            sorted(tuple(row) for s in stats for row in s["quarantined"])
+        ),
+        retries=total("retries"),
+        shed=total("shed"),
+        deferred=total("deferred"),
+        dropped=total("dropped"),
+        degraded=total("degraded"),
         # every supervisor sees the identical reading sequence, so each
         # counts the same jumps: read one, do not sum shards times over.
-        clock_jumps=stats[0]["clock_jumps"],
-        overruns=sum(s["overruns"] for s in stats),
-        stopped=stopped,
-        alloc_skipped=alloc_skipped,
-        stop_races=injector.stop_races,
-        injected_failures=sum(s["injected"]["injected_failures"] for s in stats),
-        injected_hangs=sum(s["injected"]["injected_hangs"] for s in stats),
-        slow_invocations=sum(s["injected"]["slow_invocations"] for s in stats),
+        clock_jumps=stats[0]["counters"]["clock_jumps"],
+        overruns=total("overruns"),
+        stopped=len(client.stopped),
+        alloc_skipped=len(client.alloc_failed),
+        stop_races=client.injector.stop_races,
+        injected_failures=injected("injected_failures"),
+        injected_hangs=injected("injected_hangs"),
+        slow_invocations=injected("slow_invocations"),
         pending_left=sum(s["pending_left"] for s in stats),
         introspection=introspection,
+        durable=durable,
     )
 
 
@@ -558,8 +775,6 @@ def run_differential(
         )
         for name in names
     ]
-    budget_dependent = {"shed", "retries", "injected_failures", "injected_hangs",
-                        "slow_invocations", "survivors", "quarantined"}
     reference = results[0].fingerprint()
     divergences: Dict[str, List[str]] = {}
     for result in results[1:]:
@@ -568,7 +783,7 @@ def run_differential(
             key
             for key in reference
             if fingerprint[key] != reference[key]
-            and not (tick_budget is not None and key in budget_dependent)
+            and not (tick_budget is not None and key in BUDGET_DEPENDENT)
         ]
         if fields:
             divergences[result.scheme] = fields

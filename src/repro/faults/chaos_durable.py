@@ -3,7 +3,8 @@
 The strongest claim the durability layer makes is not "it writes a
 journal" — it is that **process death is unobservable in the outcome**:
 run the standard chaos workload (:mod:`repro.faults.chaos`) against a
-``DurableScheduler``-wrapped supervised scheme, kill the process at an
+``DurableScheduler``-wrapped supervised scheme
+(``run_chaos(scheme, durable=DurableSpec(kill_at_seq=...))``), kill the process at an
 arbitrary journal sequence number (leaving the log fully-missing, torn,
 corrupt, or fully durable at the kill point), recover from disk, let the
 surviving clients re-issue whatever was never made durable, drain — and
@@ -30,309 +31,84 @@ acknowledged-but-lost group-commit tail idempotently, and carry on.
 
 from __future__ import annotations
 
-import shutil
-import tempfile
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
-from typing import TYPE_CHECKING
-
-from repro.core.errors import TimerStateError, UnknownTimerError
-from repro.core.registry import make_scheduler
-from repro.core.supervision import RetryPolicy, SupervisedScheduler
-from repro.faults.chaos import DEFAULT_PLAN, SCHEME_KWARGS, ChaosResult, ChaosWorkload
-from repro.faults.clock import SkewedClock
-from repro.faults.crash import CrashPoint, SimulatedCrash
-from repro.faults.injector import (
-    AllocationPressure,
-    FaultInjector,
-    TransientStopRace,
-)
-from repro.faults.plan import FaultPlan
+from repro.core.supervision import SupervisedScheduler
+from repro.faults.chaos import ChaosClient, ChaosShard, DurableSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.durability.service import RecoveryReport
 
-# repro.durability imports repro.faults.crash, so the service imports
-# here are deferred to call time to keep the packages cycle-free.
 
+def recover_and_reissue(
+    client: ChaosClient,
+    ops: List[Tuple[str, object, int]],
+    spec: DurableSpec,
+    directory: str,
+    build_supervisor: Callable[[], SupervisedScheduler],
+) -> Optional["RecoveryReport"]:
+    """The service died mid-run: recover it, re-issue the lost ops, drain.
 
-@dataclass
-class DurableChaosRun:
-    """One durable chaos run: the chaos outcome plus the crash forensics."""
-
-    result: ChaosResult
-    crashed: bool
-    crash: Optional[CrashPoint]
-    recovery: Optional["RecoveryReport"]
-    journal_dir: Optional[str]
-    records_appended: int
-    fsyncs: int
-    snapshots_kept: int
-
-
-def _flatten_ops(
-    workload: ChaosWorkload, plan: FaultPlan
-) -> List[Tuple[str, object, int]]:
-    """The client op stream as one ordered list, syncs interleaved.
-
-    Identical ordering to :func:`~repro.faults.chaos.run_chaos`: each
-    step's start/stop ops, then that step's clock reading.
+    Rebuilds the stack purely from ``directory`` and points ``client``
+    at it, then replays ``ops``: skipping what the journal proves
+    applied, re-issuing bare service calls for ops the client had
+    already attempted (their client-side admission ran before the
+    crash), and issuing the rest normally.
     """
-    schedule = workload.ops()
-    clock = SkewedClock(plan.clock_jumps)
-    ops: List[Tuple[str, object, int]] = []
-    for step, reading in enumerate(clock.ticks(workload.horizon), start=1):
-        for op, key, interval in schedule.get(step, ()):
-            ops.append((op, key, interval))
-        ops.append(("sync", reading, 0))
-    return ops
+    # repro.durability imports repro.faults.crash; importing it here, at
+    # call time, keeps the two packages cycle-free.
+    from repro.durability.service import recover
 
-
-def _result_from(
-    scheme: str,
-    supervised: SupervisedScheduler,
-    injector: FaultInjector,
-    stopped: int,
-    alloc_skipped: int,
-) -> ChaosResult:
-    """Assemble a ChaosResult exactly as ``run_chaos`` does."""
-    survivors = tuple(
-        sorted(
-            (
-                (str(origin), deadline, attempts)
-                for origin, deadline, attempts in supervised.survivors
-            ),
-            key=lambda row: (row[1], row[0]),
-        )
-    )
-    quarantined = tuple(
-        sorted(
-            (str(rec.request_id), rec.attempts, rec.reason)
-            for rec in supervised.quarantine.values()
-        )
-    )
-    return ChaosResult(
-        scheme=scheme,
-        survivors=survivors,
-        quarantined=quarantined,
-        retries=supervised.retries,
-        shed=supervised.shed_total,
-        deferred=supervised.deferred,
-        dropped=supervised.dropped,
-        degraded=supervised.degraded,
-        clock_jumps=supervised.clock_jumps,
-        overruns=supervised.overruns,
-        stopped=stopped,
-        alloc_skipped=alloc_skipped,
-        stop_races=injector.stop_races,
-        injected_failures=injector.injected_failures,
-        injected_hangs=injector.injected_hangs,
-        slow_invocations=injector.slow_invocations,
-        pending_left=supervised.supervised_count,
-        introspection=supervised.introspect(),
-    )
-
-
-def run_chaos_durable(
-    scheme: str,
-    plan: Optional[FaultPlan] = None,
-    workload: Optional[ChaosWorkload] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    kill_at_seq: Optional[int] = None,
-    crash_mode: str = "after",
-    journal_dir: Optional[Union[str, Path]] = None,
-    sync: str = "batch",
-    batch_size: int = 16,
-    snapshot_every: Optional[int] = 64,
-    drain_ticks: int = 100_000,
-    scheme_kwargs: Optional[Dict[str, object]] = None,
-) -> DurableChaosRun:
-    """Replay the chaos workload durably, optionally dying on the way.
-
-    ``kill_at_seq``/``crash_mode`` (or the plan's own ``crash_at_seq``
-    fields) place the :class:`~repro.faults.crash.CrashPoint`. With no
-    crash configured — or a seq the run never reaches — this is simply
-    ``run_chaos`` with a journal underneath, which is itself a useful
-    overhead measurement (the DURABLE bench runs exactly that).
-
-    ``journal_dir=None`` uses a temp directory, removed afterwards.
-    """
-    from repro.durability.journal import JournalWriteError
-    from repro.durability.service import DurableScheduler, recover
-
-    plan = plan if plan is not None else DEFAULT_PLAN
-    workload = workload if workload is not None else ChaosWorkload()
-    policy = retry_policy if retry_policy is not None else RetryPolicy(
-        max_attempts=3, base_backoff=1, backoff_multiplier=2.0, max_backoff=48
-    )
-    build_kwargs = dict(SCHEME_KWARGS.get(scheme, {}))
-    if scheme_kwargs:
-        build_kwargs.update(scheme_kwargs)
-    crash = (
-        CrashPoint(kill_at_seq, crash_mode)
-        if kill_at_seq is not None
-        else plan.crash_point()
-    )
-    injector = FaultInjector(plan)
+    injector = client.injector
+    supervisors: List[SupervisedScheduler] = []
 
     def build_stack() -> SupervisedScheduler:
-        return SupervisedScheduler(
-            make_scheduler(scheme, **build_kwargs),
-            retry_policy=policy,
-            cost_hook=injector.cost_of,
-        )
+        supervisors.append(build_supervisor())
+        return supervisors[-1]
 
-    def rebind(request_id: str, user_data: object):
-        return injector.wrap_action(None, key=request_id)
-
-    cleanup = journal_dir is None
-    directory = (
-        Path(journal_dir)
-        if journal_dir is not None
-        else Path(tempfile.mkdtemp(prefix="repro-durable-chaos-"))
-    )
-    ops = _flatten_ops(workload, plan)
-    durable = DurableScheduler(
-        build_stack(),
+    durable = recover(
         directory,
-        sync=sync,
-        batch_size=batch_size,
-        snapshot_every=snapshot_every,
-        crash=crash,
-        fsync_fail_at_seq=plan.fsync_fail_at_seq,
+        build_stack,
+        rebind=lambda request_id, user_data: injector.wrap_action(
+            None, key=request_id
+        ),
+        sync=spec.sync,
+        batch_size=spec.batch_size,
+        snapshot_every=spec.snapshot_every,
     )
-    stopped_keys: set = set()
-    alloc_failed: set = set()
-    crashed = False
-    recovery: Optional[RecoveryReport] = None
-    cursor = -1
+    client.stack = client.clock = ChaosShard(
+        durable, supervisors[-1], injector, durable
+    )
+    # The service-side injector state died with it; re-derive it from
+    # the journal. Client-side state survives in the injector.
+    injector.reset_service_state(durable.state.attempts_map())
+    client.stopped.update(durable.state.stopped)
 
-    def issue_start(key: str, interval: int) -> None:
-        try:
-            injector.start_timer(durable, interval, request_id=key)
-        except AllocationPressure:
-            alloc_failed.add(key)
-        except JournalWriteError:
-            # The journal rejected the op (injected fsync failure): the
-            # client's admission already ran, so retry the bare service
-            # call — the one-shot fault has passed.
-            durable.start_timer(
-                interval,
-                request_id=key,
-                callback=injector.wrap_action(None, key=key),
-            )
-
-    def issue_stop(key: str) -> None:
-        if not durable.is_pending(key):
-            return
-        try:
-            injector.stop_timer(durable, key)
-        except TransientStopRace:
-            # The race is transient by construction: retry once.
-            try:
-                injector.stop_timer(durable, key)
-            except (UnknownTimerError, TimerStateError):
-                return
-        except JournalWriteError:
-            durable.stop_timer(key)
-        stopped_keys.add(key)
-
-    def issue_sync(reading: int) -> None:
-        try:
-            durable.sync_clock(reading)
-        except JournalWriteError:
-            durable.sync_clock(reading)
-
-    try:
-        for index, (kind, key, interval) in enumerate(ops):
-            cursor = index
-            if kind == "start":
-                issue_start(key, interval)
-            elif kind == "stop":
-                issue_stop(key)
+    seen = durable.state.seen_ids()
+    syncs_done = durable.state.syncs
+    sync_ordinal = 0
+    for index, (kind, key, value) in enumerate(ops):
+        if kind == "sync":
+            sync_ordinal += 1
+            if sync_ordinal > syncs_done:  # else durably applied
+                client.sync(key)
+        elif kind == "start":
+            if key in seen or key in client.alloc_failed:
+                continue  # durably applied, or resolved client-side
+            if index <= client.cursor:
+                # Attempted before the crash: client admission
+                # (allocator-pressure ordinal) was already consumed,
+                # so re-issue the bare service call idempotently.
+                client.stack.start_timer(value, request_id=key)
             else:
-                issue_sync(key)
-        cursor = len(ops)
-        durable.run_until_idle(max_ticks=drain_ticks)
-        durable.flush(fsync=sync != "never")
-    except SimulatedCrash:
-        # ---- the process died; everything in memory is gone. ----
-        crashed = True
-        durable = recover(
-            directory,
-            build_stack,
-            rebind=rebind,
-            sync=sync,
-            batch_size=batch_size,
-            snapshot_every=snapshot_every,
-        )
-        recovery = durable.recovery
-        # The service-side injector state died with it; re-derive it
-        # from the journal. Client-side state survives in `injector`.
-        injector.reset_service_state(durable.state.attempts_map())
-        stopped_keys.update(durable.state.stopped)
-
-        # ---- surviving clients re-issue what the journal lost. ----
-        seen = durable.state.seen_ids()
-        syncs_done = durable.state.syncs
-        sync_ordinal = 0
-        for index, (kind, key, interval) in enumerate(ops):
-            if kind == "sync":
-                sync_ordinal += 1
-                if sync_ordinal <= syncs_done:
-                    continue  # durably applied before the crash
-                issue_sync(key)
-            elif kind == "start":
-                if key in seen or key in alloc_failed:
-                    continue  # durably applied, or resolved client-side
-                if index <= cursor:
-                    # Attempted before the crash: client admission
-                    # (allocator-pressure ordinal) was already consumed,
-                    # so re-issue the bare service call idempotently.
-                    durable.start_timer(
-                        interval,
-                        request_id=key,
-                        callback=injector.wrap_action(None, key=key),
-                    )
-                    seen.add(key)
-                else:
-                    issue_start(key, interval)
-                    seen.add(key)
-            else:  # stop
-                if key in stopped_keys and not durable.is_pending(key):
-                    continue
-                if not durable.is_pending(key):
-                    continue
-                if index <= cursor:
-                    # Any stop race already resolved client-side.
-                    durable.stop_timer(key)
-                    stopped_keys.add(key)
-                else:
-                    issue_stop(key)
-        durable.run_until_idle(max_ticks=drain_ticks)
-        durable.flush(fsync=sync != "never")
-
-    supervised = durable.stack
-    result = _result_from(
-        scheme,
-        supervised,
-        injector,
-        stopped=len(stopped_keys),
-        alloc_skipped=len(alloc_failed),
-    )
-    run = DurableChaosRun(
-        result=result,
-        crashed=crashed,
-        crash=crash,
-        recovery=recovery,
-        journal_dir=None if cleanup else str(directory),
-        records_appended=durable.journal.last_seq,
-        fsyncs=durable.journal.fsyncs,
-        snapshots_kept=len(list(directory.glob("snapshot-*.json"))),
-    )
-    durable.close()
-    if cleanup:
-        shutil.rmtree(directory, ignore_errors=True)
-    return run
+                client.start(key, value)
+            seen.add(key)
+        elif durable.is_pending(key):  # stop
+            if index <= client.cursor:
+                # Any stop race already resolved client-side.
+                durable.stop_timer(key)
+                client.stopped.add(key)
+            else:
+                client.stop(key)
+    client.clock.run_until_idle(max_ticks=client.drain_ticks)
+    return durable.recovery

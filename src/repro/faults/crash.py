@@ -23,7 +23,7 @@ The journal raises :class:`SimulatedCrash` at the configured point.  It
 derives from :class:`BaseException`, exactly like ``KeyboardInterrupt``,
 because process death is not an error a callback handler somewhere up
 the stack may catch and "handle" — it must unwind everything so the
-chaos harness (:func:`repro.faults.chaos_durable.run_chaos_durable`) can
+chaos harness (:mod:`repro.faults.chaos_durable`) can
 model the process boundary faithfully.
 """
 

@@ -34,25 +34,15 @@ fault-plan format documented in ``docs/robustness.md``.
 from __future__ import annotations
 
 import json
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import TimerConfigurationError
+from repro.core.supervision import _unit
 from repro.faults.crash import CRASH_MODES, CrashPoint
 
 #: Every outcome :meth:`FaultPlan.outcome` may return.
 OUTCOMES = ("ok", "fail", "slow", "hang")
-
-
-def _unit(seed: int, *parts: object) -> float:
-    """Deterministic uniform in [0, 1) keyed on ``(seed, *parts)``.
-
-    CRC32 over reprs, not ``hash()`` — str hashing is salted per process
-    and would make a "deterministic" plan lie across runs.
-    """
-    key = "|".join([str(seed)] + [repr(p) for p in parts])
-    return (zlib.crc32(key.encode("utf-8")) & 0xFFFFFFFF) / 2.0**32
 
 
 @dataclass

@@ -37,7 +37,6 @@ from repro.runtime.clock import (
     SkewedClockSource,
 )
 from repro.runtime.service import AsyncTimerService
-from repro.runtime.chaos import run_chaos_async
 
 __all__ = [
     "AsyncTimerService",
@@ -46,5 +45,4 @@ __all__ = [
     "LoopClock",
     "MonotonicClock",
     "SkewedClockSource",
-    "run_chaos_async",
 ]

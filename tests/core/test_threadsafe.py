@@ -9,7 +9,9 @@ import pytest
 
 from repro.core import HashedWheelUnsortedScheduler, OrderedListScheduler
 from repro.core.interface import TimerScheduler
+from repro.core.supervision import SupervisedScheduler
 from repro.core.threadsafe import ThreadSafeScheduler
+from repro.durability import DurableScheduler
 from repro.sharding import ShardedTimerService
 
 
@@ -81,7 +83,7 @@ def test_concurrent_clients_and_ticker():
     ticker_thread.join()
 
     assert errors == []
-    inner = wrapped._scheduler
+    inner = wrapped.inner
     assert (
         inner.total_started
         == inner.total_stopped + inner.total_expired + inner.pending_count
@@ -250,13 +252,14 @@ def _public_surface(cls) -> set:
 
 @pytest.mark.parametrize(
     "facade_cls",
-    [ThreadSafeScheduler, ShardedTimerService],
-    ids=["threadsafe", "sharded"],
+    [ThreadSafeScheduler, ShardedTimerService, SupervisedScheduler, DurableScheduler],
+    ids=["threadsafe", "sharded", "supervised", "durable"],
 )
 def test_facade_covers_full_public_scheduler_surface(facade_cls):
     """Drift guard: every public TimerScheduler attribute must exist on
-    the serialised facades, or callers fall back to unserialised access
-    to the wrapped scheduler(s)."""
+    every layer, or a stack composed from them raises AttributeError
+    (or callers fall back to unserialised access to the wrapped
+    scheduler)."""
     missing = _public_surface(TimerScheduler) - set(dir(facade_cls))
     assert not missing, (
         f"{facade_cls.__name__} is missing public TimerScheduler "

@@ -15,10 +15,17 @@ import dataclasses
 import pytest
 
 from repro.core.registry import scheme_names
-from repro.faults.chaos import DEFAULT_PLAN, run_chaos
-from repro.faults.chaos_durable import run_chaos_durable
+from repro.faults.chaos import DEFAULT_PLAN, DurableSpec, run_chaos
 
 _BASELINES = {}
+
+
+def _durable(scheme, plan=None, scheme_kwargs=None, **spec):
+    """The chaos plan through a durable stack: (result, durable report)."""
+    result = run_chaos(
+        scheme, plan=plan, scheme_kwargs=scheme_kwargs, durable=DurableSpec(**spec)
+    )
+    return result, result.durable
 
 
 def _baseline(scheme, **kwargs):
@@ -30,79 +37,79 @@ def _baseline(scheme, **kwargs):
 
 @pytest.mark.parametrize("scheme", scheme_names())
 def test_recovered_fingerprint_is_identical_on_every_scheme(scheme):
-    run = run_chaos_durable(scheme, kill_at_seq=150, crash_mode="torn")
+    result, run = _durable(scheme, kill_at_seq=150, crash_mode="torn")
     assert run.crashed
     assert run.recovery is not None
-    assert run.result.fingerprint() == _baseline(scheme)
+    assert result.fingerprint() == _baseline(scheme)
 
 
 @pytest.mark.parametrize("mode", ["before", "torn", "corrupt", "after"])
 @pytest.mark.parametrize("seq", [1, 64, 300, 600])
 def test_every_crash_mode_and_phase_recovers(seq, mode):
-    run = run_chaos_durable("scheme6", kill_at_seq=seq, crash_mode=mode)
+    result, run = _durable("scheme6", kill_at_seq=seq, crash_mode=mode)
     assert run.crashed
-    assert run.result.fingerprint() == _baseline("scheme6")
+    assert result.fingerprint() == _baseline("scheme6")
 
 
 def test_crash_during_the_final_drain_recovers():
     # seq far beyond the op stream lands inside run_until_idle's ledger
     # traffic; the resumed run re-drains and converges all the same.
-    clean = run_chaos_durable("scheme6")
+    _, clean = _durable("scheme6")
     assert not clean.crashed
     seq = clean.records_appended - 5
-    run = run_chaos_durable("scheme6", kill_at_seq=seq, crash_mode="torn")
+    result, run = _durable("scheme6", kill_at_seq=seq, crash_mode="torn")
     assert run.crashed
-    assert run.result.fingerprint() == _baseline("scheme6")
+    assert result.fingerprint() == _baseline("scheme6")
 
 
 def test_group_commit_loss_window_is_reissued():
     # sync="batch" with "before" kills the acked-but-unsynced buffer too;
     # clients re-issue it idempotently on reconnect.
-    run = run_chaos_durable(
+    result, run = _durable(
         "scheme6", kill_at_seq=200, crash_mode="before", batch_size=32
     )
     assert run.crashed
-    assert run.result.fingerprint() == _baseline("scheme6")
+    assert result.fingerprint() == _baseline("scheme6")
 
 
 def test_soa_store_recovers_identically():
     kwargs = {"scheme_kwargs": {"store": "soa"}}
-    run = run_chaos_durable(
+    result, run = _durable(
         "scheme6", kill_at_seq=222, crash_mode="torn", **kwargs
     )
     assert run.crashed
-    assert run.result.fingerprint() == _baseline("scheme6", **kwargs)
-    assert run.result.introspection["store"] == "soa"
+    assert result.fingerprint() == _baseline("scheme6", **kwargs)
+    assert result.introspection["store"] == "soa"
 
 
 @pytest.mark.parametrize("sync", ["always", "batch", "never"])
 def test_every_sync_mode_converges(sync):
-    run = run_chaos_durable(
+    result, run = _durable(
         "scheme6", kill_at_seq=400, crash_mode="after", sync=sync
     )
-    assert run.result.fingerprint() == _baseline("scheme6")
+    assert result.fingerprint() == _baseline("scheme6")
 
 
 def test_crash_point_from_the_plan_itself():
     plan = dataclasses.replace(
         DEFAULT_PLAN, crash_at_seq=120, crash_mode="corrupt"
     )
-    run = run_chaos_durable("scheme6", plan=plan)
+    result, run = _durable("scheme6", plan=plan)
     assert run.crashed
     assert run.crash.at_seq == 120 and run.crash.mode == "corrupt"
-    assert run.result.fingerprint() == _baseline("scheme6")
+    assert result.fingerprint() == _baseline("scheme6")
 
 
 def test_injected_fsync_failure_is_survivable_without_a_crash():
     plan = dataclasses.replace(DEFAULT_PLAN, fsync_fail_at_seq=10)
-    run = run_chaos_durable("scheme6", plan=plan)
+    result, run = _durable("scheme6", plan=plan)
     assert not run.crashed
-    assert run.result.fingerprint() == _baseline("scheme6")
+    assert result.fingerprint() == _baseline("scheme6")
 
 
 def test_uncrashed_run_matches_and_reports_journal_stats():
-    run = run_chaos_durable("scheme6", snapshot_every=64)
+    result, run = _durable("scheme6", snapshot_every=64)
     assert not run.crashed and run.recovery is None
-    assert run.result.fingerprint() == _baseline("scheme6")
+    assert result.fingerprint() == _baseline("scheme6")
     assert run.records_appended > 600  # every op and outcome journaled
     assert run.fsyncs > 0

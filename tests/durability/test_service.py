@@ -189,7 +189,7 @@ def test_supervised_recovery_restores_outcome_history(tmp_path):
             durable.sync_clock(wall)  # fires a at its deadline
     build = lambda: SupervisedScheduler(make_scheduler("scheme6"))
     recovered = recover(tmp_path, build)
-    stack = recovered.stack
+    stack = recovered.inner
     assert [str(o) for o, _, _ in stack.survivors] == ["a"]
     assert recovered.is_pending("b")
     assert stack.clock_jumps == 0
@@ -205,12 +205,12 @@ def test_supervised_recovery_recounts_clock_jumps_from_sync_records(tmp_path):
     recovered = recover(
         tmp_path, lambda: SupervisedScheduler(make_scheduler("scheme6"))
     )
-    assert recovered.stack.clock_jumps == 2
+    assert recovered.inner.clock_jumps == 2
     # the restored baseline is live: the next reading diffs against it
     recovered.sync_clock(21)
-    assert recovered.stack.clock_jumps == 2
+    assert recovered.inner.clock_jumps == 2
     recovered.sync_clock(90)
-    assert recovered.stack.clock_jumps == 3
+    assert recovered.inner.clock_jumps == 3
     recovered.close()
 
 

@@ -15,6 +15,7 @@ from repro.core.registry import scheme_names
 from repro.faults import (
     DEFAULT_PLAN,
     ChaosWorkload,
+    DurableSpec,
     FaultPlan,
     run_chaos,
     run_differential,
@@ -111,10 +112,8 @@ def test_sharded_service_matches_unsharded_fingerprint():
     """The Appendix B service run through the canonical plan must agree
     with the single-module run field for field: partitioning may move
     timers between shards, never change what survives."""
-    from repro.faults import run_chaos_sharded
-
     base = run_chaos("scheme6")
-    sharded = run_chaos_sharded("scheme6", shards=4)
+    sharded = run_chaos("scheme6", shards=4)
     assert sharded.fingerprint() == base.fingerprint()
     assert sharded.scheme == "sharded[4xscheme6]"
     # The run really was partitioned: more than one shard held timers.
@@ -124,8 +123,32 @@ def test_sharded_service_matches_unsharded_fingerprint():
 
 
 def test_sharded_fingerprint_is_shard_count_invariant():
-    from repro.faults import run_chaos_sharded
-
-    two = run_chaos_sharded("scheme6", shards=2)
-    eight = run_chaos_sharded("scheme6", shards=8)
+    two = run_chaos("scheme6", shards=2)
+    eight = run_chaos("scheme6", shards=8)
     assert two.fingerprint() == eight.fingerprint()
+
+
+#: Stack compositions, outermost layer first, as run_chaos parameters.
+STACKS = {
+    "async>sharded2>durable>supervised": dict(
+        runtime=True, shards=2, durable=DurableSpec(sync="never")
+    ),
+    "sharded2>durable>supervised": dict(shards=2, durable=DurableSpec()),
+}
+
+
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_composed_stack_matches_unsharded_fingerprint(stack):
+    """Every layer composition replays the plan to the plain supervised
+    run's fingerprint: layers may move and journal timers, never change
+    what survives."""
+    base = run_chaos("scheme6")
+    composed = run_chaos("scheme6", **STACKS[stack])
+    assert composed.fingerprint() == base.fingerprint()
+    assert composed.durable is not None and not composed.durable.crashed
+    assert composed.durable.records_appended > 0
+
+
+def test_kill_point_needs_the_plain_stack():
+    with pytest.raises(ValueError, match="unsharded"):
+        run_chaos("scheme6", shards=2, durable=DurableSpec(kill_at_seq=10))

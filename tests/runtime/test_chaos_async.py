@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.chaos import run_chaos
-from repro.runtime.chaos import run_chaos_async
 
 SCHEMES = ["scheme1", "scheme6", "scheme7", "scheme7-lossy"]
 
@@ -27,13 +26,13 @@ def _comparable(result):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_async_chaos_fingerprint_matches_synchronous(scheme):
     sync = run_chaos(scheme)
-    asy = run_chaos_async(scheme)
+    asy = run_chaos(scheme, runtime=True)
     assert _comparable(asy) == _comparable(sync)
     assert asy.scheme == f"async:{scheme}"
 
 
 def test_async_chaos_reports_runtime_introspection():
-    result = run_chaos_async("scheme6")
+    result = run_chaos("scheme6", runtime=True)
     runtime = result.introspection["runtime"]
     assert runtime["clock"] == "FakeClock"
     # Explicit-sync mode: readings flow through advance_clock, so the
@@ -44,5 +43,7 @@ def test_async_chaos_reports_runtime_introspection():
 
 def test_async_chaos_survives_a_budgeted_overload_policy():
     sync = run_chaos("scheme6", tick_budget=3, overload_policy="degrade")
-    asy = run_chaos_async("scheme6", tick_budget=3, overload_policy="degrade")
+    asy = run_chaos(
+        "scheme6", tick_budget=3, overload_policy="degrade", runtime=True
+    )
     assert _comparable(asy) == _comparable(sync)

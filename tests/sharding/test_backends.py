@@ -137,14 +137,12 @@ def test_chaos_fingerprint_identical_across_backends(backend):
     """The chaos differential oracle, with the backend as the axis: the
     full fault fingerprint (survivors, quarantine, retries, every
     injected count) must be byte-identical wherever the shards run."""
-    from repro.faults.chaos import ChaosWorkload, run_chaos_sharded
+    from repro.faults.chaos import ChaosWorkload, run_chaos
 
     workload = ChaosWorkload(n_timers=24, horizon=400)
-    reference = run_chaos_sharded(
-        "scheme6", shards=4, workload=workload
-    ).fingerprint()
-    result = run_chaos_sharded(
-        "scheme6", shards=4, workload=workload, backend=backend
+    reference = run_chaos("scheme6", workload=workload, shards=4).fingerprint()
+    result = run_chaos(
+        "scheme6", workload=workload, shards=4, backend=backend
     ).fingerprint()
     assert result == reference
 

@@ -60,15 +60,15 @@ def test_docs_index_lists_every_document():
     [
         ("observability.md", "contended_acquisitions"),
         ("observability.md", "attach_shard_observer"),
-        ("robustness.md", "run_chaos_sharded"),
-        ("robustness.md", "run_chaos_async"),
+        ("robustness.md", "shards=4"),
+        ("robustness.md", "runtime=True"),
         ("paper_map.md", "AsyncTimerService"),
         ("paper_map.md", "scheme8_lawn"),
         ("performance.md", "BENCH_millions.json"),
         ("performance.md", "SoATimerStore"),
         ("async_runtime.md", "BENCH_async_idle.json"),
         ("api.md", "scheme_names"),
-        ("durability.md", "run_chaos_durable"),
+        ("durability.md", "DurableSpec"),
         ("durability.md", "BENCH_durable.json"),
         ("robustness.md", "durability.md"),
         ("paper_map.md", "DurableScheduler"),
