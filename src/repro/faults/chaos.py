@@ -271,7 +271,7 @@ class ChaosShard(SchedulerLayer):
     :class:`~repro.durability.service.DurableScheduler` when the stack
     is durable. Unsharded, one ChaosShard is the whole stack; sharded,
     every shard is one, living wherever the backend runs it — this
-    process, a worker process, a sub-interpreter. Every STARTed callback
+    process or a worker process. Every STARTed callback
     is wrapped at this seam; supervisor re-arms go through the scheme
     directly, so the wrap happens exactly once per client timer.
 

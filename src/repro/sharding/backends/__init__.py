@@ -5,7 +5,6 @@ backend                   shards execute in                          GIL
 ========================  =========================================  ==========
 ``inprocess``             this interpreter, per-shard locks          shared
 ``multiprocessing``       one worker process per shard + shm plane   one each
-``subinterpreters``       one sub-interpreter per shard (3.12+)      one each
 ========================  =========================================  ==========
 """
 
@@ -24,13 +23,8 @@ from repro.sharding.backends.base import (
     encode_timer,
 )
 
-#: Registry name -> backend class path (imported lazily; the
-#: multiprocessing and subinterpreter modules cost fork/interp probes).
-BACKEND_NAMES: Tuple[str, ...] = (
-    "inprocess",
-    "multiprocessing",
-    "subinterpreters",
-)
+#: Registry names (classes are imported lazily by :func:`_backend_class`).
+BACKEND_NAMES: Tuple[str, ...] = ("inprocess", "multiprocessing")
 
 
 def _backend_class(name: str):
@@ -42,10 +36,6 @@ def _backend_class(name: str):
         from repro.sharding.backends.mp import MultiprocessingBackend
 
         return MultiprocessingBackend
-    if name == "subinterpreters":
-        from repro.sharding.backends.subinterp import SubinterpreterBackend
-
-        return SubinterpreterBackend
     raise ValueError(
         f"unknown backend {name!r}; choose from {', '.join(BACKEND_NAMES)}"
     )
@@ -61,11 +51,8 @@ def backend_availability() -> Dict[str, Tuple[bool, str]]:
 
     try:
         multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX hosts
+    except ValueError:  # no fork on this platform
         report["multiprocessing"] = (False, "no fork start method")
-    from repro.sharding.backends.subinterp import availability
-
-    report["subinterpreters"] = availability()
     return report
 
 
@@ -83,8 +70,8 @@ def make_backend(
 ) -> ShardBackend:
     """Instantiate backend ``name`` (raises
     :class:`BackendUnavailableError` when it cannot run here)."""
-    usable, reason = backend_availability().get(name, (False, "unknown"))
     cls = _backend_class(name)
+    usable, reason = backend_availability()[name]
     if not usable:
         raise BackendUnavailableError(f"backend {name!r} unavailable: {reason}")
     return cls(shard_count, plane, **options)

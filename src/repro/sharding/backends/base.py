@@ -15,9 +15,6 @@ shard's scheduler lives and how operations reach it:
   (:class:`~repro.structures.soa.SharedSoATimerStore`), batched ops
   crossing the pipe once per shard per batch. Appendix B's "one
   processor per shard", GIL actually broken.
-* :class:`~repro.sharding.backends.subinterp.SubinterpreterBackend` —
-  one sub-interpreter per shard (per-interpreter GIL, Python 3.12+),
-  same wire protocol over OS pipes, threads instead of processes.
 
 The protocol is five methods — ``submit_batch``, ``advance_to``,
 ``drain_expired``, ``introspect``, ``close`` — plus a ``scatter``
@@ -42,8 +39,8 @@ semantics), ``False`` keeps going (``on_missing="skip"`` semantics).
 
 **Advance/drain split.** ``advance_to(deadline)`` *launches* the drive
 on every shard; ``drain_expired()`` collects the per-shard expiry lists.
-Remote backends scatter the advance to all workers before gathering, so
-shards genuinely drive concurrently. The pair must be called
+The multiprocessing backend scatters the advance to all workers before
+gathering, so shards genuinely drive concurrently. The pair must be called
 back-to-back under the service's clock lock.
 
 **Wire timers.** Remote results re-materialise
@@ -224,10 +221,10 @@ class ShardBackend:
 
     Subclasses must implement the five protocol methods; ``scatter`` has
     a serial default. ``close`` must be idempotent and must release
-    every OS resource (workers, pipes, shared memory, pools).
+    every OS resource (workers, pipes, shared memory).
     """
 
-    #: Registry name ("inprocess", "multiprocessing", "subinterpreters").
+    #: Registry name ("inprocess" or "multiprocessing").
     name: str = "?"
     #: Live shard schedulers when they run in this interpreter, else None.
     #: ``None`` is the capability switch: wire-encode targets/results,
@@ -264,7 +261,7 @@ class ShardBackend:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Tear down workers/pools/shared memory. Idempotent."""
+        """Tear down workers/pipes/shared memory. Idempotent."""
         raise NotImplementedError
 
     # ------------------------------------------------------------- extensions
@@ -335,8 +332,8 @@ class ShardPlane:
     them structurally so remote backends can rebuild each shard inside a
     worker — attaching a shared-memory SoA store when the scheme was
     asked for ``store="soa"``. A user ``shard_factory`` leaves them
-    ``None``: remote backends then ship the callable itself (fork
-    inherits it; sub-interpreters require it to be picklable).
+    ``None``: the multiprocessing backend then ships the callable itself
+    (fork inherits it, so it need not be picklable).
     """
 
     def __init__(

@@ -12,7 +12,6 @@ simultaneously.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.interface import Timer
@@ -25,30 +24,17 @@ from repro.sharding.backends.base import (
 
 
 class InProcessBackend(ShardBackend):
-    """Shard schedulers in this process, one lock per shard.
-
-    ``parallel=True`` drives :meth:`advance_to` on a thread pool (one
-    worker per shard) — per-shard locks still serialise each shard, but
-    shards overlap wherever the schemes release the GIL.
-    """
+    """Shard schedulers in this process, one lock per shard, advanced
+    serially."""
 
     name = "inprocess"
 
-    def __init__(
-        self,
-        shard_count: int,
-        plane: ShardPlane,
-        *,
-        parallel: bool = False,
-    ) -> None:
+    def __init__(self, shard_count: int, plane: ShardPlane) -> None:
         self.shard_count = shard_count
-        self.parallel = bool(parallel)
         self._shards = [plane.factory(index) for index in range(shard_count)]
         self._locks = [threading.RLock() for _ in range(shard_count)]
         self._contended = [0] * shard_count
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._pending_drain: Optional[List[List[Timer]]] = None
-        self._closed = False
 
     # ----------------------------------------------------------- the protocol
 
@@ -75,23 +61,12 @@ class InProcessBackend(ShardBackend):
             self._locks[index].release()
 
     def advance_to(self, deadline: int) -> None:
-        per_shard: List[List[Timer]] = [[] for _ in range(self.shard_count)]
-        if self.parallel and self.shard_count > 1:
-            pool = self._ensure_pool()
-            futures = [
-                pool.submit(self._advance_shard, index, deadline, per_shard[index])
-                for index in range(self.shard_count)
-            ]
-            for future in futures:
-                future.result()
-        else:
-            for index in range(self.shard_count):
-                self._advance_shard(index, deadline, per_shard[index])
-        self._pending_drain = per_shard
+        self._pending_drain = [
+            self._advance_shard(index, deadline)
+            for index in range(self.shard_count)
+        ]
 
-    def _advance_shard(
-        self, index: int, deadline: int, sink: List[Timer]
-    ) -> None:
+    def _advance_shard(self, index: int, deadline: int) -> List[Timer]:
         """Drive one shard to ``deadline`` under one lock hold.
 
         Appendix B's discipline: each processor drives its *own* queue
@@ -100,10 +75,12 @@ class InProcessBackend(ShardBackend):
         lock once per advance instead of once per event hop keeps the
         drive cost comparable to an unsharded scheduler's.
         """
+        shard = self._shards[index]
         self._acquire(index)
         try:
-            if self._shards[index].now < deadline:
-                sink.extend(self._shards[index].advance_to(deadline))
+            if shard.now < deadline:
+                return list(shard.advance_to(deadline))
+            return []
         finally:
             self._locks[index].release()
 
@@ -117,35 +94,15 @@ class InProcessBackend(ShardBackend):
     def introspect(self) -> Dict[str, object]:
         return {
             "backend": self.name,
-            "parallel": self.parallel,
+            "parallel": False,
             "contended_acquisitions": list(self._contended),
         }
 
     def close(self) -> None:
-        """Release the advance pool. Idempotent; shards need no teardown."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Nothing to release: shards are plain objects. Idempotent."""
 
     # ------------------------------------------------------------- extensions
 
     @property
     def contended_acquisitions(self) -> List[int]:
         return self._contended
-
-    def shutdown_hook(self) -> None:
-        """Called by the service after SHUTDOWN: retire the pool."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.shard_count,
-                thread_name_prefix="repro-shard",
-            )
-        return self._pool

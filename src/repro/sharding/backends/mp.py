@@ -42,19 +42,6 @@ from repro.sharding.backends.worker import shard_loop
 _POLL_INTERVAL = 0.05
 
 
-def _mp_worker_main(conn, index: int, build) -> None:
-    """Process entry point: serve one shard over ``conn``."""
-    try:
-        shard_loop(
-            index,
-            build,
-            conn.recv_bytes,
-            conn.send_bytes,
-        )
-    finally:
-        conn.close()
-
-
 class MultiprocessingBackend(ShardBackend):
     """Shard schedulers in per-shard worker processes (fork start method).
 
@@ -99,7 +86,7 @@ class MultiprocessingBackend(ShardBackend):
                 build = plane.builder(shm_name)
                 parent_conn, child_conn = ctx.Pipe()
                 process = ctx.Process(
-                    target=_mp_worker_main,
+                    target=shard_loop,
                     args=(child_conn, index, build),
                     name=f"repro-shard-{index}",
                     daemon=True,

@@ -1,9 +1,8 @@
-"""The remote shard worker: one loop, any transport.
+"""The multiprocessing shard worker: one process serving one shard.
 
-Both the multiprocessing backend (duplex pipes, one process per shard)
-and the sub-interpreter backend (OS pipes, one interpreter per shard)
-run this exact loop — the transport only supplies ``recv_bytes`` /
-``send_bytes`` callables. Messages are pickled tuples::
+:class:`~repro.sharding.backends.mp.MultiprocessingBackend` forks one
+process per shard running :func:`shard_loop` over its end of a duplex
+pipe. Messages are pickled tuples::
 
     ("ops", ops, stop_on_error) -> ("results", [encoded OpResult, ...])
     ("advance", deadline)       -> ("results", ("ok", [wire timers]))
@@ -18,6 +17,7 @@ exotic payload can never wedge the framing.
 from __future__ import annotations
 
 import pickle
+from multiprocessing.connection import Connection
 from typing import Callable, List
 
 from repro.sharding.backends.base import (
@@ -57,24 +57,22 @@ def _encode_results(results: List[OpResult]) -> List[OpResult]:
 
 
 def shard_loop(
-    index: int,
-    build: Callable[[int], object],
-    recv_bytes: Callable[[], bytes],
-    send_bytes: Callable[[bytes], None],
+    conn: Connection, index: int, build: Callable[[int], object]
 ) -> None:
-    """Build shard ``index`` via ``build`` and serve ops until closed."""
+    """Process entry point: build shard ``index`` via ``build`` and serve
+    ops over ``conn`` until closed (the process exit closes ``conn``)."""
     try:
         shard = build(index)
     except Exception as exc:
-        send_bytes(_safe_dumps(("fatal", exc)))
+        conn.send_bytes(_safe_dumps(("fatal", exc)))
         return
-    send_bytes(_safe_dumps(("ready", None)))
+    conn.send_bytes(_safe_dumps(("ready", None)))
     while True:
-        message = pickle.loads(recv_bytes())
+        message = pickle.loads(conn.recv_bytes())
         kind = message[0]
         if kind == "ops":
             results = apply_ops(shard, message[1], message[2])
-            send_bytes(_safe_dumps(("results", _encode_results(results))))
+            conn.send_bytes(_safe_dumps(("results", _encode_results(results))))
         elif kind == "advance":
             deadline = message[1]
             try:
@@ -89,7 +87,7 @@ def shard_loop(
                 )
             except Exception as exc:
                 payload = ("err", exc)
-            send_bytes(_safe_dumps(("results", payload)))
+            conn.send_bytes(_safe_dumps(("results", payload)))
         elif kind == "close":
             # Release a shared-memory mapping cleanly before exiting —
             # SharedMemory.__del__ cannot close a buffer with live
@@ -98,10 +96,10 @@ def shard_loop(
             close = getattr(store, "close", None)
             if callable(close):
                 close()
-            send_bytes(_safe_dumps(("results", ("ok", None))))
+            conn.send_bytes(_safe_dumps(("results", ("ok", None))))
             return
         else:
-            send_bytes(
+            conn.send_bytes(
                 _safe_dumps(
                     (
                         "results",

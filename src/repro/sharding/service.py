@@ -14,7 +14,7 @@ stable hash of the request id (:mod:`repro.sharding.partition`).
 The service owns the *policy*: routing, batching, merge order, auto ids,
 and the virtual clock. Where the shard schedulers *execute* is a
 :class:`~repro.sharding.backends.base.ShardBackend`
-(``backend="inprocess" | "multiprocessing" | "subinterpreters"``):
+(``backend="inprocess" | "multiprocessing"``):
 
 * **inprocess** (default) — per-shard locks in this interpreter.
   START/STOP for different request ids contend only when the ids hash to
@@ -23,8 +23,6 @@ and the virtual clock. Where the shard schedulers *execute* is a
 * **multiprocessing** — one worker process per shard, machine-word timer
   state in a shared-memory SoA block per shard, batched ops crossing
   each pipe once. Appendix B's "one processor per shard", literally.
-* **subinterpreters** — one per-shard sub-interpreter (own GIL each,
-  Python 3.12+), same wire protocol, no processes.
 
 Whatever the backend, the client surface and every fingerprint are
 identical; backends may only change where time is spent. Remote backends
@@ -42,17 +40,13 @@ Ordering guarantees — what is and is not preserved:
 * Expiry *actions* run while each shard advances, so their side-effect
   order across shards is shard-major within an advance — Appendix B's
   per-processor semantics. Same-shard ordering is exactly the underlying
-  scheme's. Callbacks may start/stop timers on their own shard freely;
-  with ``parallel=True`` a callback must not touch *other* shards (two
-  shards cross-locking each other mid-advance can deadlock — the
-  appendix's inter-processor-interrupt caveat).
+  scheme's. Callbacks may start/stop timers on their own shard freely.
 
 Lifecycle: the service is a context manager; :meth:`close` (idempotent)
 tears down whatever the backend holds — worker processes, pipes,
-shared-memory blocks, thread pools. A worker killed out from under the
-service surfaces as
-:class:`~repro.sharding.backends.base.ShardFaultError` on the next
-operation touching that shard, never as a hang.
+shared-memory blocks. A worker killed out from under the service
+surfaces as :class:`~repro.sharding.backends.base.ShardFaultError` on
+the next operation touching that shard, never as a hang.
 """
 
 from __future__ import annotations
@@ -121,7 +115,6 @@ class ShardedTimerService:
         shards: int = 4,
         *,
         shard_factory: Optional[Callable[[int], TimerScheduler]] = None,
-        parallel: bool = False,
         counter: Optional[OpCounter] = None,
         backend: str = "inprocess",
         backend_options: Optional[Dict[str, object]] = None,
@@ -137,12 +130,10 @@ class ShardedTimerService:
         not meter"). ``shard_factory`` overrides construction entirely —
         ``shard_factory(index)`` must return the scheduler for shard
         ``index`` (use this to wrap each shard in supervision or fault
-        injection; the subinterpreters backend additionally requires it
-        to be picklable).
+        injection).
 
-        ``parallel=True`` advances in-process shards via a worker pool
-        (see the module docstring for the callback caveat); remote
-        backends always advance shards concurrently.
+        In-process shards advance serially; the multiprocessing backend
+        advances its worker processes concurrently.
         ``backend_options`` passes backend-specific knobs through (e.g.
         ``shm_rows`` sizing the multiprocessing backend's per-shard
         shared-memory block).
@@ -170,12 +161,10 @@ class ShardedTimerService:
         else:
             self._counter = counter
             plane = ShardPlane(shard_factory)
-        options = dict(backend_options or {})
-        if backend == "inprocess":
-            options.setdefault("parallel", parallel)
-        self._backend = make_backend(backend, shards, plane, **options)
+        self._backend = make_backend(
+            backend, shards, plane, **(backend_options or {})
+        )
         try:
-            self.parallel = bool(getattr(self._backend, "parallel", True))
             first = self._backend.scatter(
                 [("get", "now"), ("get", "scheme_name")]
             )
@@ -454,9 +443,9 @@ class ShardedTimerService:
     def advance_to(self, deadline: int) -> List[Timer]:
         """Drive every shard to ``deadline``; merge expiries globally.
 
-        The backend launches the drive on every shard — serially or on a
-        thread pool in-process, genuinely concurrently on the remote
-        backends — then the per-shard expiry lists are merge-sorted into
+        The backend launches the drive on every shard — serially
+        in-process, genuinely concurrently on the multiprocessing
+        backend — then the per-shard expiry lists are merge-sorted into
         ``(firing tick, shard index, within-shard order)``: deterministic
         for any backend and any worker schedule, because merging happens
         after every shard has reached ``deadline``.
@@ -538,9 +527,6 @@ class ShardedTimerService:
             for records in self._scatter_call("shutdown"):
                 cancelled.extend(records)
             self._shut_down = True
-            hook = getattr(self._backend, "shutdown_hook", None)
-            if callable(hook):
-                hook()
             return cancelled
 
     @property
@@ -554,9 +540,8 @@ class ShardedTimerService:
         """Release everything the backend holds. Idempotent.
 
         Worker processes are stopped, pipes and shared-memory blocks
-        released, thread pools retired. Timers pending on remote shards
-        are simply gone — call :meth:`shutdown` first for an orderly
-        cancel. The service must not be used after ``close``.
+        released. Timers pending on remote shards are simply gone — call
+        :meth:`shutdown` first for an orderly cancel. The service must not be used after ``close``.
         """
         if self._closed:
             return
@@ -761,7 +746,7 @@ class ShardedTimerService:
             "scheme": self.scheme_name,
             "now": self._now,
             "shards": self.shard_count,
-            "parallel": self.parallel,
+            "parallel": backend_info["parallel"],
             "backend": self._backend.name,
             "pending": total_pending,
             "total_started": sum(int(i.get("total_started", 0)) for i in per_shard),

@@ -135,14 +135,14 @@ def test_sharded_identity_on_a_passive_batch():
         return (tuple(sorted(fired)), snapshot, now, pending)
 
     def control():
-        sharded = ShardedTimerService("scheme6", shards=4, parallel=False)
+        sharded = ShardedTimerService("scheme6", shards=4)
         fired = []
         _arm_batch(sharded, fired)
         sharded.advance_to(512)
         return _fingerprint(sharded, fired)
 
     async def live():
-        sharded = ShardedTimerService("scheme6", shards=4, parallel=False)
+        sharded = ShardedTimerService("scheme6", shards=4)
         fired = []
         clock = FakeClock()
         service = AsyncTimerService(sharded, tick_duration=1.0, clock=clock)

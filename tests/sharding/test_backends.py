@@ -1,4 +1,4 @@
-"""Backend parity: one service surface, three execution substrates.
+"""Backend parity: one service surface, two execution substrates.
 
 The :class:`~repro.sharding.service.ShardedTimerService` contract is
 that ``backend=`` may only change *where* shard schedulers execute —
@@ -11,7 +11,7 @@ workers surfacing as :class:`ShardFaultError` instead of hangs) and the
 capability boundary (live-object surfaces refuse cleanly on remote
 backends).
 
-Backends that cannot run here (e.g. subinterpreters before 3.12) must
+Backends that cannot run here (multiprocessing without ``fork``) must
 *skip* — visibly, with the availability reason — not fail.
 """
 
@@ -34,7 +34,7 @@ from repro.sharding.backends import (
 )
 from repro.sharding.service import ShardedTimerService
 
-ALL_BACKENDS = ("inprocess", "multiprocessing", "subinterpreters")
+ALL_BACKENDS = ("inprocess", "multiprocessing")
 
 
 def backend_params(include_inprocess: bool = True):
@@ -230,21 +230,32 @@ def test_worker_that_fails_to_build_faults_at_construction():
 # -------------------------------------------------------------- capability
 
 
-def test_unknown_backend_is_rejected():
-    with pytest.raises(ValueError, match="unknown backend"):
-        ShardedTimerService("scheme6", 2, backend="carrier-pigeon")
+@pytest.mark.parametrize("name", ["carrier-pigeon", "subinterpreters"])
+def test_unknown_backend_is_rejected(name):
+    with pytest.raises(
+        ValueError, match="unknown backend.*inprocess, multiprocessing"
+    ):
+        ShardedTimerService("scheme6", 2, backend=name)
 
 
-def test_unavailable_backend_raises_cleanly():
-    report = backend_availability()
-    unavailable = [n for n, (ok, _) in report.items() if not ok]
-    if not unavailable:
-        pytest.skip("every backend is available on this host")
+def test_unavailable_backend_raises_cleanly(monkeypatch):
+    """A host without the ``fork`` start method cannot run
+    multiprocessing: construction refuses with the availability reason."""
+    import multiprocessing
+
     from repro.sharding.backends.base import ShardPlane
 
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    assert backend_availability()["multiprocessing"] == (
+        False, "no fork start method"
+    )
+    assert available_backends() == ["inprocess"]
     plane = ShardPlane(lambda index: None)
-    with pytest.raises(BackendUnavailableError):
-        make_backend(unavailable[0], 2, plane)
+    with pytest.raises(BackendUnavailableError, match="no fork"):
+        make_backend("multiprocessing", 2, plane)
 
 
 @pytest.mark.parametrize("backend", backend_params(include_inprocess=False))

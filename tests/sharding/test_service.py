@@ -81,20 +81,6 @@ def test_merged_expiries_are_deterministically_ordered():
     assert keys == sorted(keys)
 
 
-def test_parallel_advance_matches_serial_advance():
-    specs = [(1 + (i * 13) % 97, f"t{i}") for i in range(300)]
-    serial = _service(parallel=False)
-    parallel = _service(parallel=True)
-    serial.start_many(specs)
-    parallel.start_many(specs)
-    serial_seq = [(t.request_id, t.expired_at) for t in serial.advance_to(100)]
-    parallel_seq = [
-        (t.request_id, t.expired_at) for t in parallel.advance_to(100)
-    ]
-    assert serial_seq == parallel_seq
-    parallel.shutdown()
-
-
 def test_single_shard_matches_plain_scheduler():
     service = _service(shards=1)
     plain = make_scheduler("scheme6", table_size=256)

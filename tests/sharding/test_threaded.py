@@ -146,13 +146,9 @@ def _build(surface):
 
 
 def _remote_backend_params():
-    report = backend_availability()
-    params = []
-    for name in ("multiprocessing", "subinterpreters"):
-        usable, reason = report[name]
-        marks = [] if usable else [pytest.mark.skip(reason=reason)]
-        params.append(pytest.param(name, marks=marks))
-    return params
+    usable, reason = backend_availability()["multiprocessing"]
+    marks = [] if usable else [pytest.mark.skip(reason=reason)]
+    return [pytest.param("multiprocessing", marks=marks)]
 
 
 def _run_plans_threaded_remote(service, plans, fired):
