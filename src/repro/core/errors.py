@@ -44,15 +44,15 @@ class UnknownTimerError(TimerError):
 
 
 class StaleTimerHandleError(TimerStateError):
-    """A generation-tagged handle outlived the timer record it named.
+    """A generation-tagged SoA handle or view outlived the timer it named.
 
-    Raised when a :class:`~repro.core.interface.TimerHandle` (or a
-    struct-of-arrays handle) is used after its record was finalised and
-    recycled into a *different* timer. Distinct from plain
-    :class:`TimerStateError` because the record the caller would have
-    addressed is not "their timer in the wrong state" — it is somebody
-    else's timer entirely, and silently operating on it is the
-    use-after-free bug the generation tag exists to catch.
+    Raised when a struct-of-arrays int handle or
+    :class:`~repro.structures.soa.SoATimerView` is used after its row was
+    finalised and freed, possibly already holding a *different* timer.
+    Distinct from plain :class:`TimerStateError` because the row the
+    caller would have addressed is not "their timer in the wrong state" —
+    it may be somebody else's timer entirely, and silently operating on
+    it is the use-after-free bug the generation tag exists to catch.
     """
 
 

@@ -44,7 +44,6 @@ from typing import Callable, Dict, Hashable, List, Optional, Union
 
 from repro.core.errors import (
     SchedulerShutdownError,
-    StaleTimerHandleError,
     TimerLivelockError,
     TimerStateError,
     UnknownTimerError,
@@ -150,12 +149,11 @@ class Timer(DNode):
         Actual expiry tick. Normally equals ``deadline``; the lossy
         hierarchical variants (Scheme 7 + Nichols) may fire early or late,
         and the precision experiments read this field.
-    ``generation``
-        Incarnation counter for the record. 0 on allocation; bumped each
-        time the ``recycle=True`` free list re-issues the record as a new
-        timer. :attr:`handle` captures it so a reference held across a
-        free-and-reuse raises :class:`StaleTimerHandleError` instead of
-        silently addressing the recycled timer.
+
+    A record is never handed out as a different timer: START_TIMER always
+    allocates, and only :meth:`TimerScheduler.restart_timer` re-arms a
+    finalised record, at the caller's request. The record itself is
+    therefore an unambiguous reference to its timer.
     """
 
     __slots__ = (
@@ -169,7 +167,6 @@ class Timer(DNode):
         "stopped_at",
         "expired_at",
         "fired_at",
-        "generation",
         # scheme-private scratch fields (documented in each scheme):
         "_remaining",
         "_rounds",
@@ -199,7 +196,6 @@ class Timer(DNode):
         self.stopped_at: Optional[int] = None
         self.expired_at: Optional[int] = None
         self.fired_at: Optional[int] = None
-        self.generation = 0
         self._remaining = interval
         self._rounds = 0
         self._level = -1
@@ -216,16 +212,13 @@ class Timer(DNode):
         callback: Optional[ExpiryAction],
         user_data: object,
     ) -> None:
-        """Reset a finalised (expired/stopped, unlinked) record for reuse.
+        """Reset a finalised (expired/stopped, unlinked) record for a re-arm.
 
-        The free-list path of :class:`TimerScheduler` (``recycle=True``)
-        calls this instead of allocating; every field is restored to its
-        ``__init__`` state except the DNode links, which are already
-        detached on any finalised record, and :attr:`generation`, which is
-        bumped so handles captured against the previous incarnation go
-        stale instead of aliasing the new timer.
+        :meth:`TimerScheduler.restart_timer` calls this instead of
+        allocating; every field is restored to its ``__init__`` state
+        except the DNode links, which are already detached on any
+        finalised record.
         """
-        self.generation += 1
         self.request_id = request_id
         self.interval = interval
         self.deadline = started_at + interval
@@ -249,71 +242,10 @@ class Timer(DNode):
         """True while the timer is outstanding."""
         return self.state is TimerState.PENDING
 
-    @property
-    def handle(self) -> "TimerHandle":
-        """A generation-tagged reference to *this incarnation* of the record.
-
-        Safe to hold across a ``recycle=True`` free-and-reuse: once the
-        record is re-issued as a different timer, resolving the handle
-        raises :class:`StaleTimerHandleError` instead of silently
-        addressing the recycled timer.
-        """
-        return TimerHandle(self, self.generation)
-
     def __repr__(self) -> str:
         return (
             f"Timer(id={self.request_id!r}, interval={self.interval}, "
             f"deadline={self.deadline}, state={self.state.value})"
-        )
-
-
-class TimerHandle:
-    """An immutable ``(record, generation)`` pair naming one timer incarnation.
-
-    The raw :class:`Timer` object is an ambiguous reference under
-    ``recycle=True``: after the record is finalised and reused, the same
-    object *is* a different timer, so ``stop_timer(stale_record)`` would
-    silently cancel somebody else's timer. A handle captures the
-    generation at hand-out; every resolution checks it, and a mismatch
-    raises :class:`StaleTimerHandleError`. ``stop_timer``, ``get_timer``
-    and ``is_pending`` all accept handles.
-    """
-
-    __slots__ = ("record", "generation")
-
-    def __init__(self, record: Timer, generation: int) -> None:
-        self.record = record
-        self.generation = generation
-
-    @property
-    def request_id(self) -> Hashable:
-        """The request id the record carried when the handle was taken.
-
-        Only meaningful while the handle is live; resolve through the
-        scheduler to find out.
-        """
-        return self.record.request_id
-
-    @property
-    def stale(self) -> bool:
-        """True once the record has been recycled into a newer incarnation."""
-        return self.record.generation != self.generation
-
-    def resolve(self) -> Timer:
-        """The record, if this handle still names its live incarnation."""
-        if self.record.generation != self.generation:
-            raise StaleTimerHandleError(
-                f"handle (generation {self.generation}) is stale: the record "
-                f"was recycled and now holds generation "
-                f"{self.record.generation} "
-                f"(currently {self.record.request_id!r})"
-            )
-        return self.record
-
-    def __repr__(self) -> str:
-        return (
-            f"TimerHandle(id={self.record.request_id!r}, "
-            f"generation={self.generation}, stale={self.stale})"
         )
 
 
@@ -334,9 +266,7 @@ class TimerScheduler(abc.ABC):
     #: facility must not let one bad client action starve the rest).
     ERROR_POLICIES = ("propagate", "collect")
 
-    def __init__(
-        self, counter: Optional[OpCounter] = None, recycle: bool = False
-    ) -> None:
+    def __init__(self, counter: Optional[OpCounter] = None) -> None:
         self.counter = counter if counter is not None else OpCounter()
         #: lifecycle observer; the shared no-op by default so the hook
         #: sites cost one attribute load + empty call when uninstrumented.
@@ -355,15 +285,6 @@ class TimerScheduler(abc.ABC):
         #: :attr:`dropped_errors`.
         self.callback_errors: BoundedErrorLog = BoundedErrorLog()
         self._shut_down = False
-        #: opt-in Timer free list (``recycle=True``): finalised records are
-        #: pooled and reused by the next START_TIMER, cutting allocation
-        #: churn in long-running drivers. Contract: with recycling on, a
-        #: record returned by tick()/stop_timer() stays valid only until a
-        #: later start_timer claims it — callers that retain expired records
-        #: (or use the "collect" error policy and inspect ``callback_errors``
-        #: late) should leave recycling off.
-        self._recycle = bool(recycle)
-        self._free_timers: List[Timer] = []
 
     def set_error_policy(self, policy: str) -> None:
         """Choose what happens when an Expiry_Action raises.
@@ -460,7 +381,7 @@ class TimerScheduler(abc.ABC):
             raise TimerStateError(
                 f"request_id {request_id!r} already names a pending timer"
             )
-        timer = self._obtain_record(request_id, interval, callback, user_data)
+        timer = Timer(request_id, interval, self._now, callback, user_data)
         self._insert(timer)
         self._active[request_id] = timer
         self.total_started += 1
@@ -469,46 +390,21 @@ class TimerScheduler(abc.ABC):
             observer.on_start(self, timer)
         return timer
 
-    def _obtain_record(
-        self,
-        request_id: Hashable,
-        interval: int,
-        callback: Optional[ExpiryAction],
-        user_data: object,
-    ) -> Timer:
-        """Allocate a Timer record, reusing the free list when recycling."""
-        if self._recycle and self._free_timers:
-            candidate = self._free_timers.pop()
-            # A pooled record must be fully detached; anything still linked
-            # (a client re-inserted it by hand) is dropped, not aliased.
-            if not candidate.linked and candidate._pq_node is None:
-                candidate._reinit(
-                    request_id, interval, self._now, callback, user_data
-                )
-                return candidate
-        return Timer(
-            request_id=request_id,
-            interval=interval,
-            started_at=self._now,
-            callback=callback,
-            user_data=user_data,
-        )
-
     @property
     def free_record_count(self) -> int:
-        """Recycled Timer records currently pooled (0 unless ``recycle=True``)."""
-        return len(self._free_timers)
+        """Free records pooled for reuse: 0, as Timer records are never reused.
+
+        The SoA store overrides this with its free-row count.
+        """
+        return 0
 
     def stop_timer(self, timer_or_id: Union[Timer, Hashable]) -> Timer:
-        """STOP_TIMER: cancel a pending timer by record, handle, or id.
+        """STOP_TIMER: cancel a pending timer by record or id.
 
         Returns the stopped record. Raises
-        :class:`~repro.core.errors.UnknownTimerError` for an unknown id,
+        :class:`~repro.core.errors.UnknownTimerError` for an unknown id and
         :class:`~repro.core.errors.TimerStateError` when the timer already
-        expired or was already stopped, and
-        :class:`~repro.core.errors.StaleTimerHandleError` when a
-        :class:`TimerHandle` outlived its incarnation (the record was
-        recycled into a different timer).
+        expired or was already stopped.
         """
         timer = self._resolve(timer_or_id)
         if timer.state is not TimerState.PENDING:
@@ -523,8 +419,6 @@ class TimerScheduler(abc.ABC):
         observer = self.observer
         if observer is not NULL_OBSERVER:
             observer.on_stop(self, timer)
-        if self._recycle:
-            self._free_timers.append(timer)
         return timer
 
     def update_timer(
@@ -539,8 +433,8 @@ class TimerScheduler(abc.ABC):
         trip. Wheel schemes override :meth:`_update` to recompute the slot
         natively; the default composes the scheme's own remove + insert.
 
-        Accepts a record, handle, or id like :meth:`stop_timer` and raises
-        the same errors for unknown/finalised timers and stale handles.
+        Accepts a record or id like :meth:`stop_timer` and raises the same
+        errors for unknown and finalised timers.
         Returns the (still pending) record.
         """
         self._check_open()
@@ -582,7 +476,7 @@ class TimerScheduler(abc.ABC):
 
     def restart_timer(
         self,
-        timer: Union[Timer, TimerHandle],
+        timer: Timer,
         interval: Optional[int] = None,
         request_id: Optional[Hashable] = None,
     ) -> Timer:
@@ -601,8 +495,6 @@ class TimerScheduler(abc.ABC):
         ``started == stopped + expired + pending`` intact.
         """
         self._check_open()
-        if isinstance(timer, TimerHandle):
-            timer = timer.resolve()
         if timer.state is TimerState.PENDING:
             raise TimerStateError(
                 f"timer {timer.request_id!r} is still pending; use "
@@ -620,13 +512,6 @@ class TimerScheduler(abc.ABC):
             raise TimerStateError(
                 f"request_id {new_id!r} already names a pending timer"
             )
-        # Drop the record from the free pool if stop_timer already pooled
-        # it — restarting must not leave an aliased copy behind.
-        if self._recycle and self._free_timers:
-            try:
-                self._free_timers.remove(timer)
-            except ValueError:
-                pass
         stopped_at, expired_at, fired_at = (
             timer.stopped_at, timer.expired_at, timer.fired_at,
         )
@@ -696,15 +581,6 @@ class TimerScheduler(abc.ABC):
         if observing:
             observer.on_tick_end(self, len(expired))
         sink.extend(expired)
-        # Records are pooled only after every callback of the tick has run,
-        # so a re-entrant start_timer can never alias a record that is
-        # still being processed this tick. A callback may have restarted
-        # the very record that just expired — a record that is PENDING
-        # again is live and must not be pooled.
-        if self._recycle and expired:
-            self._free_timers.extend(
-                t for t in expired if t.state is not TimerState.PENDING
-            )
         return len(expired)
 
     def advance(self, ticks: int) -> List[Timer]:
@@ -793,7 +669,7 @@ class TimerScheduler(abc.ABC):
         expired: List[Timer] = []
         start_now = self._now
         cap = start_now + max_ticks
-        while self._active:
+        while self.pending_count:
             if self._now - start_now >= max_ticks:
                 if self.observer is not NULL_OBSERVER:
                     self.observer.on_anomaly(
@@ -865,13 +741,7 @@ class TimerScheduler(abc.ABC):
         return list(self._active.values())
 
     def is_pending(self, request_id: Hashable) -> bool:
-        """True when ``request_id`` names an outstanding timer.
-
-        Accepts a :class:`TimerHandle` too; a stale handle is simply not
-        pending (no exception — this is the non-throwing probe).
-        """
-        if isinstance(request_id, TimerHandle):
-            return not request_id.stale and request_id.record.pending
+        """True when ``request_id`` names an outstanding timer."""
         return request_id in self._active
 
     def get_timer(self, request_id: Hashable) -> Timer:
@@ -949,7 +819,7 @@ class TimerScheduler(abc.ABC):
         :func:`~repro.core.introspect.occupancy_summary`), tree height for
         Scheme 3, per-level occupancy for the hierarchies.
         """
-        info: Dict[str, object] = {
+        return {
             "scheme": self.scheme_name,
             "store": "object",
             "now": self._now,
@@ -962,9 +832,6 @@ class TimerScheduler(abc.ABC):
             "dropped_errors": self.callback_errors.dropped,
             "shut_down": self._shut_down,
         }
-        if self._recycle:
-            info["free_records"] = len(self._free_timers)
-        return info
 
     # ------------------------------------------------------- subclass hooks
 
@@ -991,8 +858,6 @@ class TimerScheduler(abc.ABC):
     def _resolve(self, timer_or_id: Union[Timer, Hashable]) -> Timer:
         if isinstance(timer_or_id, Timer):
             return timer_or_id
-        if isinstance(timer_or_id, TimerHandle):
-            return timer_or_id.resolve()
         return self.get_timer(timer_or_id)
 
     def _mark_expired(self, timer: Timer) -> None:

@@ -131,7 +131,7 @@ class SchedulerLayer:
 
     @property
     def free_record_count(self) -> int:
-        """Recycled records pooled by the wrapped scheduler."""
+        """Free records pooled by the wrapped scheduler (SoA free rows)."""
         return self.inner.free_record_count
 
     @property

@@ -44,9 +44,8 @@ class StraightforwardScheduler(TimerScheduler):
         self,
         mode: str = "decrement",
         counter: Optional[OpCounter] = None,
-        recycle: bool = False,
     ) -> None:
-        super().__init__(counter, recycle=recycle)
+        super().__init__(counter)
         if mode not in ("decrement", "compare"):
             raise ValueError(f"mode must be 'decrement' or 'compare', got {mode!r}")
         self.mode = mode

@@ -49,10 +49,8 @@ class PriorityQueueScheduler(TimerScheduler):
 
     scheme_name = "scheme3"
 
-    def __init__(
-        self, counter: Optional[OpCounter] = None, recycle: bool = False
-    ) -> None:
-        super().__init__(counter, recycle=recycle)
+    def __init__(self, counter: Optional[OpCounter] = None) -> None:
+        super().__init__(counter)
         self._pq = self._make_queue()
         #: descent depth / sift comparisons of the last insertion (FIG6).
         self.last_insert_compares = 0

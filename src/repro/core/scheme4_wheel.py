@@ -20,67 +20,50 @@ time anyway.
 
 from __future__ import annotations
 
+import abc
 from typing import Dict, List, Optional
 
 from repro.core.errors import TimerConfigurationError
 from repro.core.interface import Timer, TimerScheduler
 from repro.core.introspect import occupancy_summary
+from repro.core.soa_base import StoreSelectable
 from repro.core.validation import check_positive_int
 from repro.cost.counters import OpCounter
 from repro.structures.bitmap import SlotBitmap
 from repro.structures.dlist import DLinkedList
 
 
-class TimingWheelScheduler(TimerScheduler):
-    """Scheme 4: circular buffer of ``max_interval`` slots, one tick each.
+class TimingWheelGeometry(TimerScheduler):
+    """Scheme 4's wheel, independent of where the timers are stored.
 
-    ``store`` selects the timer representation: ``"object"`` (default)
-    keeps per-timer :class:`Timer` records on intrusive lists;
-    ``"soa"`` returns the struct-of-arrays twin
-    (:class:`~repro.core.soa_schemes.SoATimingWheelScheduler`) — same
-    scheme, same OpCounter charges and expiry order, a fraction of the
-    memory per timer (see ``docs/performance.md``).
+    Owns the circular buffer's arithmetic and bookkeeping — cursor,
+    occupancy bitmap, UPDATE charge, the sparse-tick fast path and
+    ``introspect`` — for both :class:`TimingWheelScheduler` (object
+    records) and its struct-of-arrays twin
+    :class:`~repro.core.soa_schemes.SoATimingWheelScheduler`. A store
+    class adds the slot containers and the four store hooks.
     """
 
     scheme_name = "scheme4"
 
-    def __new__(cls, *args, store: str = "object", **kwargs):
-        if store not in ("object", "soa"):
-            raise TimerConfigurationError(
-                f"store must be 'object' or 'soa', got {store!r}"
-            )
-        if store == "soa":
-            if cls is not TimingWheelScheduler:
-                raise TimerConfigurationError(
-                    f"store='soa' is not available on {cls.__name__}; "
-                    "construct TimingWheelScheduler directly"
-                )
-            from repro.core.soa_schemes import SoATimingWheelScheduler
-
-            # Not a subclass, so __init__ below is skipped: build it whole.
-            return SoATimingWheelScheduler(*args, **kwargs)
-        return super().__new__(cls)
+    # UPDATE_TIMER is two pointer splices on a wheel: unlink from the old
+    # slot, relink at the recomputed one. The index arithmetic rides the
+    # cursor the per-tick bookkeeping already maintains, so the whole
+    # re-arm costs half the STOP+START round trip (1 + 3 charged ops).
+    _UPDATE_CHARGE = dict(links=2)  # = 2
 
     def __init__(
-        self,
-        max_interval: int,
-        counter: Optional[OpCounter] = None,
-        recycle: bool = False,
-        store: str = "object",
-        soa_store=None,
+        self, max_interval: int, counter: Optional[OpCounter] = None
     ) -> None:
-        super().__init__(counter, recycle=recycle)
-        if soa_store is not None:
-            raise TimerConfigurationError(
-                "soa_store requires store='soa'"
-            )
+        super().__init__(counter)
         check_positive_int("max_interval", max_interval)
         if max_interval < 2:
             # A 1-slot wheel can hold no interval (they must be < max).
             raise TimerConfigurationError("max_interval must be at least 2")
         self.max_interval = max_interval
-        self._slots = [DLinkedList() for _ in range(max_interval)]
-        self._cursor = 0  # the paper's current time pointer, in [0, max)
+        # The paper's current time pointer, in [0, max); the invariant
+        # cursor == now % max_interval holds between ticks.
+        self._cursor = 0
         # One bit per slot, set while the slot list is non-empty; pure
         # fast-path bookkeeping, never charged to the counter.
         self._occupancy = SlotBitmap(max_interval)
@@ -93,9 +76,9 @@ class TimingWheelScheduler(TimerScheduler):
         """Current time pointer (index into the circular buffer)."""
         return self._cursor
 
+    @abc.abstractmethod
     def slot_sizes(self) -> List[int]:
         """Occupancy of each slot, for inspection and tests."""
-        return [len(slot) for slot in self._slots]
 
     def introspect(self) -> Dict[str, object]:
         info = super().introspect()
@@ -127,6 +110,34 @@ class TimingWheelScheduler(TimerScheduler):
         self._cursor = (self._cursor + count) % self.max_interval
         self.counter.charge(writes=count, reads=count, compares=count)
 
+
+class TimingWheelScheduler(StoreSelectable, TimingWheelGeometry):
+    """Scheme 4: circular buffer of ``max_interval`` slots, one tick each.
+
+    ``store`` selects the timer representation: ``"object"`` (default)
+    keeps per-timer :class:`Timer` records on intrusive lists;
+    ``"soa"`` returns the struct-of-arrays twin
+    (:class:`~repro.core.soa_schemes.SoATimingWheelScheduler`) — same
+    scheme, same OpCounter charges and expiry order, a fraction of the
+    memory per timer (see ``docs/performance.md``).
+    """
+
+    _soa_twin = "SoATimingWheelScheduler"
+
+    def __init__(
+        self,
+        max_interval: int,
+        counter: Optional[OpCounter] = None,
+        store: str = "object",
+        soa_store=None,
+    ) -> None:
+        # ``store`` and ``soa_store`` are consumed by StoreSelectable.__new__.
+        super().__init__(max_interval, counter)
+        self._slots = [DLinkedList() for _ in range(max_interval)]
+
+    def slot_sizes(self) -> List[int]:
+        return [len(slot) for slot in self._slots]
+
     def _insert(self, timer: Timer) -> None:
         index = (self._cursor + timer.interval) % self.max_interval
         timer._slot_index = index
@@ -142,12 +153,6 @@ class TimingWheelScheduler(TimerScheduler):
         self.counter.link(1)
         if not self._slots[index]:
             self._occupancy.clear(index)
-
-    # UPDATE_TIMER is two pointer splices on a wheel: unlink from the old
-    # slot, relink at the recomputed one. The index arithmetic rides the
-    # cursor the per-tick bookkeeping already maintains, so the whole
-    # re-arm costs half the STOP+START round trip (1 + 3 charged ops).
-    _UPDATE_CHARGE = dict(links=2)  # = 2
 
     def _update(self, timer: Timer, new_interval: int) -> None:
         old_index = timer._slot_index

@@ -40,9 +40,8 @@ class HashedWheelSortedScheduler(TimerScheduler):
         self,
         table_size: int = 256,
         counter: Optional[OpCounter] = None,
-        recycle: bool = False,
     ) -> None:
-        super().__init__(counter, recycle=recycle)
+        super().__init__(counter)
         check_positive_int("table_size", table_size)
         self.table_size = table_size
         self._buckets = [

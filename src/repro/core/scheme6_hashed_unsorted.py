@@ -23,19 +23,28 @@ zero and decrements the rest.
 
 from __future__ import annotations
 
+import abc
 from typing import Dict, List, Optional
 
-from repro.core.errors import TimerConfigurationError
 from repro.core.interface import Timer, TimerScheduler
 from repro.core.introspect import occupancy_summary
+from repro.core.soa_base import StoreSelectable
 from repro.core.validation import check_positive_int
 from repro.cost.counters import OpCounter
 from repro.structures.bitmap import SlotBitmap
 from repro.structures.dlist import DLinkedList
 
 
-class HashedWheelUnsortedScheduler(TimerScheduler):
-    """Scheme 6: hashed timing wheel, per-bucket unsorted lists."""
+class HashedWheelGeometry(TimerScheduler):
+    """Scheme 6's hashed wheel, independent of where the timers are stored.
+
+    Owns the calibrated charges, the cursor and occupancy bitmap, the
+    hash and rounds arithmetic, the sparse-tick fast path and
+    ``introspect`` for both :class:`HashedWheelUnsortedScheduler` (object
+    records) and its struct-of-arrays twin
+    :class:`~repro.core.soa_schemes.SoAHashedWheelUnsortedScheduler`. A
+    store class adds the bucket containers and the four store hooks.
+    """
 
     scheme_name = "scheme6"
 
@@ -51,43 +60,13 @@ class HashedWheelUnsortedScheduler(TimerScheduler):
     # store the fresh rounds count — half the DELETE+INSERT bill (7 + 13).
     _UPDATE_CHARGE = dict(reads=3, writes=2, compares=1, links=4)  # = 10
 
-    def __new__(cls, *args, store: str = "object", **kwargs):
-        """``store="soa"`` returns the struct-of-arrays twin (same scheme,
-        same charges, a fraction of the memory; see ``docs/performance.md``).
-        """
-        if store not in ("object", "soa"):
-            raise TimerConfigurationError(
-                f"store must be 'object' or 'soa', got {store!r}"
-            )
-        if store == "soa":
-            if cls is not HashedWheelUnsortedScheduler:
-                raise TimerConfigurationError(
-                    f"store='soa' is not available on {cls.__name__}; "
-                    "construct HashedWheelUnsortedScheduler directly"
-                )
-            from repro.core.soa_schemes import SoAHashedWheelUnsortedScheduler
-
-            # Not a subclass, so __init__ below is skipped: build it whole.
-            return SoAHashedWheelUnsortedScheduler(*args, **kwargs)
-        return super().__new__(cls)
-
     def __init__(
-        self,
-        table_size: int = 256,
-        counter: Optional[OpCounter] = None,
-        recycle: bool = False,
-        store: str = "object",
-        soa_store=None,
+        self, table_size: int = 256, counter: Optional[OpCounter] = None
     ) -> None:
-        super().__init__(counter, recycle=recycle)
-        if soa_store is not None:
-            raise TimerConfigurationError(
-                "soa_store requires store='soa'"
-            )
+        super().__init__(counter)
         check_positive_int("table_size", table_size)
         self.table_size = table_size
-        self._buckets = [DLinkedList() for _ in range(table_size)]
-        self._cursor = 0
+        self._cursor = 0  # invariant: cursor == now % table_size
         # One bit per bucket, set while the bucket is non-empty; fast-path
         # bookkeeping only, never charged.
         self._occupancy = SlotBitmap(table_size)
@@ -101,9 +80,9 @@ class HashedWheelUnsortedScheduler(TimerScheduler):
         """Current time pointer (index into the hash array)."""
         return self._cursor
 
+    @abc.abstractmethod
     def bucket_sizes(self) -> List[int]:
         """Occupancy of each bucket, for inspection and tests."""
-        return [len(bucket) for bucket in self._buckets]
 
     def bucket_index_for(self, interval: int) -> int:
         """The slot an interval hashes to: ``(cursor + interval) mod size``."""
@@ -159,6 +138,32 @@ class HashedWheelUnsortedScheduler(TimerScheduler):
             writes=self._EMPTY_TICK_CHARGE["writes"] * count,
             compares=self._EMPTY_TICK_CHARGE["compares"] * count,
         )
+
+
+class HashedWheelUnsortedScheduler(StoreSelectable, HashedWheelGeometry):
+    """Scheme 6: hashed timing wheel, per-bucket unsorted lists.
+
+    ``store="soa"`` returns the struct-of-arrays twin
+    (:class:`~repro.core.soa_schemes.SoAHashedWheelUnsortedScheduler`):
+    same scheme, same charges, a fraction of the memory; see
+    ``docs/performance.md``.
+    """
+
+    _soa_twin = "SoAHashedWheelUnsortedScheduler"
+
+    def __init__(
+        self,
+        table_size: int = 256,
+        counter: Optional[OpCounter] = None,
+        store: str = "object",
+        soa_store=None,
+    ) -> None:
+        # ``store`` and ``soa_store`` are consumed by StoreSelectable.__new__.
+        super().__init__(table_size, counter)
+        self._buckets = [DLinkedList() for _ in range(table_size)]
+
+    def bucket_sizes(self) -> List[int]:
+        return [len(bucket) for bucket in self._buckets]
 
     def _insert(self, timer: Timer) -> None:
         index = self.bucket_index_for(timer.interval)

@@ -34,11 +34,13 @@ timer formulation.
 
 from __future__ import annotations
 
+import abc
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import TimerConfigurationError
 from repro.core.interface import Timer, TimerScheduler
 from repro.core.introspect import occupancy_summary
+from repro.core.soa_base import StoreSelectable
 from repro.core.validation import check_positive_int
 from repro.cost.counters import OpCounter
 from repro.structures.bitmap import SlotBitmap
@@ -53,29 +55,41 @@ PAPER_LEVELS: Tuple[int, ...] = (60, 60, 24, 100)
 BINARY_LEVELS: Tuple[int, ...] = (256, 256, 256, 256)
 
 
-class _Level:
-    """One wheel in the hierarchy.
+class WheelLevel:
+    """One wheel's geometry: slot count, granularity, span and occupancy.
 
-    All slot mutation goes through :meth:`link` / :meth:`unlink` /
-    :meth:`drain_slot` so the per-level occupancy bitmap (the sparse-tick
-    fast path's index, never charged to the counter) can never drift from
-    the slot lists.
+    The per-level occupancy bitmap is the sparse-tick fast path's index,
+    never charged to the counter. Each store subclasses this with its
+    slot containers and keeps the bitmap in step with them.
     """
 
-    __slots__ = (
-        "index", "slot_count", "granularity", "span", "slots", "occupancy"
-    )
+    __slots__ = ("index", "slot_count", "granularity", "span", "occupancy")
 
     def __init__(self, index: int, slot_count: int, granularity: int) -> None:
         self.index = index
         self.slot_count = slot_count
         self.granularity = granularity
         self.span = granularity * slot_count
-        self.slots = [DLinkedList() for _ in range(slot_count)]
         self.occupancy = SlotBitmap(slot_count)
 
     def slot_for(self, deadline: int) -> int:
+        """The slot of this wheel whose drain covers ``deadline``."""
         return (deadline // self.granularity) % self.slot_count
+
+
+class _Level(WheelLevel):
+    """One wheel of the object store: a ``DLinkedList`` per slot.
+
+    All slot mutation goes through :meth:`link` / :meth:`unlink` /
+    :meth:`drain_slot` so the occupancy bitmap can never drift from the
+    slot lists.
+    """
+
+    __slots__ = ("slots",)
+
+    def __init__(self, index: int, slot_count: int, granularity: int) -> None:
+        super().__init__(index, slot_count, granularity)
+        self.slots = [DLinkedList() for _ in range(slot_count)]
 
     def link(self, slot_index: int, timer: "Timer") -> None:
         self.slots[slot_index].push_front(timer)
@@ -93,41 +107,34 @@ class _Level:
         return self.slots[slot_index].drain()
 
 
-class HierarchicalWheelScheduler(TimerScheduler):
-    """Scheme 7: a hierarchy of timing wheels with coarsening granularity."""
+class HierarchicalWheelGeometry(TimerScheduler):
+    """Scheme 7's hierarchy, independent of where the timers are stored.
+
+    Owns the level arithmetic and both placement rules, the cascade and
+    migration counters, the sparse-tick fast path and ``introspect`` for
+    both :class:`HierarchicalWheelScheduler` (object records) and its
+    struct-of-arrays twin
+    :class:`~repro.core.soa_schemes.SoAHierarchicalWheelScheduler`. A
+    store class names its level container in ``_level_class`` and adds
+    the four store hooks.
+    """
 
     scheme_name = "scheme7"
 
-    def __new__(cls, *args, store: str = "object", **kwargs):
-        """``store="soa"`` returns the struct-of-arrays twin (same scheme,
-        same charges, a fraction of the memory; see ``docs/performance.md``).
-        Only the base hierarchy supports it — the Nichols variants keep
-        their object records.
-        """
-        if store not in ("object", "soa"):
-            raise TimerConfigurationError(
-                f"store must be 'object' or 'soa', got {store!r}"
-            )
-        if store == "soa":
-            if cls is not HierarchicalWheelScheduler:
-                raise TimerConfigurationError(
-                    f"store='soa' is not available on {cls.__name__}; "
-                    "construct HierarchicalWheelScheduler directly"
-                )
-            from repro.core.soa_schemes import SoAHierarchicalWheelScheduler
+    #: the store's :class:`WheelLevel` subclass (its slot containers).
+    _level_class = WheelLevel
 
-            # Not a subclass, so __init__ below is skipped: build it whole.
-            return SoAHierarchicalWheelScheduler(*args, **kwargs)
-        return super().__new__(cls)
+    # UPDATE_TIMER on a hierarchy is two splices plus one level read: the
+    # destination level search reuses the digit arithmetic the cascade
+    # bookkeeping already pays, so one fused charge replaces the DELETE (1)
+    # + placement-scan + INSERT (3) bill of a STOP+START round trip.
+    _UPDATE_CHARGE = dict(reads=1, links=2)  # = 3
 
     def __init__(
         self,
         slot_counts: Sequence[int] = PAPER_LEVELS,
         counter: Optional[OpCounter] = None,
         placement: str = "paper",
-        recycle: bool = False,
-        store: str = "object",
-        soa_store=None,
     ) -> None:
         """``placement`` selects the insertion rule (an ablation knob):
 
@@ -141,11 +148,7 @@ class HierarchicalWheelScheduler(TimerScheduler):
           migrations, same expiry ticks; the ablation bench quantifies the
           difference.
         """
-        super().__init__(counter, recycle=recycle)
-        if soa_store is not None:
-            raise TimerConfigurationError(
-                "soa_store requires store='soa'"
-            )
+        super().__init__(counter)
         if placement not in ("paper", "span"):
             raise TimerConfigurationError(
                 f"placement must be 'paper' or 'span', got {placement!r}"
@@ -153,7 +156,7 @@ class HierarchicalWheelScheduler(TimerScheduler):
         self.placement = placement
         if not slot_counts:
             raise TimerConfigurationError("at least one level is required")
-        self._levels: List[_Level] = []
+        self._levels: List[WheelLevel] = []
         granularity = 1
         for index, count in enumerate(slot_counts):
             check_positive_int(f"slot_counts[{index}]", count)
@@ -161,7 +164,7 @@ class HierarchicalWheelScheduler(TimerScheduler):
                 raise TimerConfigurationError(
                     f"slot_counts[{index}] must be >= 2 to be a wheel"
                 )
-            self._levels.append(_Level(index, count, granularity))
+            self._levels.append(self._level_class(index, count, granularity))
             granularity *= count
         self.total_span = granularity  # product of all slot counts
         self.total_slots = sum(level.slot_count for level in self._levels)
@@ -192,9 +195,9 @@ class HierarchicalWheelScheduler(TimerScheduler):
             for level in self._levels
         ]
 
+    @abc.abstractmethod
     def slot_sizes(self, level: int) -> List[int]:
         """Occupancy of each slot at ``level``, for inspection and tests."""
-        return [len(slot) for slot in self._levels[level].slots]
 
     def max_start_interval(self) -> Optional[int]:
         return self.total_span
@@ -212,7 +215,7 @@ class HierarchicalWheelScheduler(TimerScheduler):
                     "cursor": (self._now // level.granularity)
                     % level.slot_count,
                     "occupancy": occupancy_summary(
-                        [len(slot) for slot in level.slots]
+                        self.slot_sizes(level.index)
                     ),
                 }
                 for level in self._levels
@@ -223,114 +226,45 @@ class HierarchicalWheelScheduler(TimerScheduler):
         }
         return info
 
-    def level_for_remaining(self, remaining: int) -> int:
-        """Lowest level whose span covers ``remaining`` ticks.
+    # ------------------------------------------------------------- placement
 
-        This is the O(m) search Section 6.2 charges START_TIMER for.
+    def _destination(self, deadline: int) -> Tuple[WheelLevel, int]:
+        """The placement rule's level for ``deadline``, and levels probed.
+
+        Uncharged: :meth:`_charged_destination` prices the probes (the
+        O(m) search Section 6.2 charges START_TIMER for); the fused UPDATE
+        charge prices them itself. Either rule gives a destination ``ℓ``
+        with ``deadline // g[ℓ] > now // g[ℓ]`` and a unit difference of
+        at most ``s[ℓ]``, so the destination slot's next drain is exactly
+        the deadline's unit boundary — never earlier, never a revolution
+        late — and cascading there leaves ``remaining < g[ℓ]``, which
+        re-places strictly downward until level 0 expires the timer
+        exactly.
         """
-        for level in self._levels:
-            self.counter.compare(1)
+        now = self._now
+        if self.placement == "paper":
+            # "We first calculate the absolute time at which the timer
+            # will expire ... then we insert the timer into a list
+            # beginning (11 - 10 hours) ahead of the current hour pointer
+            # in the hour array": the highest level whose digit changes.
+            for probes, level in enumerate(reversed(self._levels), 1):
+                if deadline // level.granularity != now // level.granularity:
+                    return level, probes
+            raise AssertionError("placement requires deadline > now")
+        # "span": the lowest level whose span covers the remaining time.
+        remaining = deadline - now
+        for probes, level in enumerate(self._levels, 1):
             if remaining < level.span:
-                return level.index
+                return level, probes
         raise AssertionError("interval validated against total_span")
 
-    # ------------------------------------------------------------- internals
+    def _charged_destination(self, deadline: int) -> WheelLevel:
+        """:meth:`_destination`, charging one compare per level probed."""
+        level, probes = self._destination(deadline)
+        self.counter.compare(probes)
+        return level
 
-    def _place(self, timer: Timer) -> None:
-        """Insert ``timer`` at the level its placement rule selects.
-
-        Correctness argument (either rule): the destination level ``ℓ`` has
-        ``deadline // g[ℓ] > now // g[ℓ]`` and the unit difference is at
-        most ``s[ℓ]``, so the destination slot's next drain is exactly the
-        deadline's unit boundary — never earlier, never a revolution late —
-        and cascading there leaves ``remaining < g[ℓ]``, which re-places
-        strictly downward until level 0 expires the timer exactly.
-        """
-        deadline = timer.deadline
-        if self.placement == "paper":
-            level = self._level_by_digits(deadline)
-        else:
-            level = self._levels[self.level_for_remaining(deadline - self._now)]
-        slot_index = level.slot_for(deadline)
-        timer._level = level.index
-        timer._slot_index = slot_index
-        self.counter.charge(reads=1, writes=1, links=1)
-        level.link(slot_index, timer)
-
-    def _level_by_digits(self, deadline: int) -> _Level:
-        """The paper's rule: highest level whose unit digit changes.
-
-        "We first calculate the absolute time at which the timer will
-        expire ... then we insert the timer into a list beginning (11 - 10
-        hours) ahead of the current hour pointer in the hour array."
-        """
-        now = self._now
-        for level in reversed(self._levels):
-            self.counter.compare(1)
-            if deadline // level.granularity != now // level.granularity:
-                return level
-        raise AssertionError("placement requires deadline > now")
-
-    def _insert(self, timer: Timer) -> None:
-        self._place(timer)
-
-    def _handle_cascaded(self, timer: Timer, expired: List[Timer]) -> None:
-        """Process one timer drained from a cascading coarse slot.
-
-        Scheme 7 proper migrates the timer toward finer wheels until level 0
-        expires it exactly; the Nichols variants in
-        :mod:`repro.core.scheme7_variants` override this to trade precision
-        for fewer migrations.
-        """
-        if timer.deadline == self._now:
-            timer._level = -1
-            timer._slot_index = -1
-            expired.append(timer)
-        else:
-            self.migrations += 1
-            from_level = timer._level
-            self._place(timer)
-            self.observer.on_migrate(self, timer, from_level, timer._level)
-
-    def _remove(self, timer: Timer) -> None:
-        self._levels[timer._level].unlink(timer._slot_index, timer)
-        timer._level = -1
-        timer._slot_index = -1
-        self.counter.link(1)
-
-    # UPDATE_TIMER on a hierarchy is two splices plus one level read: the
-    # destination level search reuses the digit arithmetic the cascade
-    # bookkeeping already pays, so one fused charge replaces the DELETE (1)
-    # + placement-scan + INSERT (3) bill of a STOP+START round trip.
-    _UPDATE_CHARGE = dict(reads=1, links=2)  # = 3
-
-    def _update(self, timer: Timer, new_interval: int) -> None:
-        self._levels[timer._level].unlink(timer._slot_index, timer)
-        now = self._now
-        timer.interval = new_interval
-        timer.started_at = now
-        deadline = now + new_interval
-        timer.deadline = deadline
-        timer._remaining = new_interval
-        timer._rounds = 0
-        timer._fire_at = deadline
-        timer._migrated = False
-        # Uncharged placement search (the fused charge below prices it):
-        # same destination rule as _place, so expiry behaviour is
-        # bit-identical to a remove + reinsert.
-        if self.placement == "paper":
-            for level in reversed(self._levels):
-                if deadline // level.granularity != now // level.granularity:
-                    break
-        else:
-            for level in self._levels:
-                if new_interval < level.span:
-                    break
-        slot_index = level.slot_for(deadline)
-        timer._level = level.index
-        timer._slot_index = slot_index
-        self.counter.charge(**self._UPDATE_CHARGE)
-        level.link(slot_index, timer)
+    # ------------------------------------------------------- sparse advance
 
     def next_expiry(self) -> Optional[int]:
         """Next tick that visits an occupied slot on any level.
@@ -379,6 +313,92 @@ class HierarchicalWheelScheduler(TimerScheduler):
             reads=count + crossings,
             compares=count + crossings,
         )
+
+
+class HierarchicalWheelScheduler(StoreSelectable, HierarchicalWheelGeometry):
+    """Scheme 7: a hierarchy of timing wheels with coarsening granularity.
+
+    ``store="soa"`` returns the struct-of-arrays twin
+    (:class:`~repro.core.soa_schemes.SoAHierarchicalWheelScheduler`):
+    same scheme, same charges, a fraction of the memory; see
+    ``docs/performance.md``. Only the base hierarchy supports it — the
+    Nichols variants keep their object records.
+    """
+
+    _soa_twin = "SoAHierarchicalWheelScheduler"
+    _level_class = _Level
+
+    def __init__(
+        self,
+        slot_counts: Sequence[int] = PAPER_LEVELS,
+        counter: Optional[OpCounter] = None,
+        placement: str = "paper",
+        store: str = "object",
+        soa_store=None,
+    ) -> None:
+        # ``store`` and ``soa_store`` are consumed by StoreSelectable.__new__.
+        super().__init__(slot_counts, counter, placement)
+
+    def slot_sizes(self, level: int) -> List[int]:
+        return [len(slot) for slot in self._levels[level].slots]
+
+    def _place(self, timer: Timer) -> None:
+        """Insert ``timer`` at the level its placement rule selects."""
+        deadline = timer.deadline
+        level = self._charged_destination(deadline)
+        slot_index = level.slot_for(deadline)
+        timer._level = level.index
+        timer._slot_index = slot_index
+        self.counter.charge(reads=1, writes=1, links=1)
+        level.link(slot_index, timer)
+
+    def _insert(self, timer: Timer) -> None:
+        self._place(timer)
+
+    def _handle_cascaded(self, timer: Timer, expired: List[Timer]) -> None:
+        """Process one timer drained from a cascading coarse slot.
+
+        Scheme 7 proper migrates the timer toward finer wheels until level 0
+        expires it exactly; the Nichols variants in
+        :mod:`repro.core.scheme7_variants` override this to trade precision
+        for fewer migrations.
+        """
+        if timer.deadline == self._now:
+            timer._level = -1
+            timer._slot_index = -1
+            expired.append(timer)
+        else:
+            self.migrations += 1
+            from_level = timer._level
+            self._place(timer)
+            self.observer.on_migrate(self, timer, from_level, timer._level)
+
+    def _remove(self, timer: Timer) -> None:
+        self._levels[timer._level].unlink(timer._slot_index, timer)
+        timer._level = -1
+        timer._slot_index = -1
+        self.counter.link(1)
+
+    def _update(self, timer: Timer, new_interval: int) -> None:
+        self._levels[timer._level].unlink(timer._slot_index, timer)
+        now = self._now
+        timer.interval = new_interval
+        timer.started_at = now
+        deadline = now + new_interval
+        timer.deadline = deadline
+        timer._remaining = new_interval
+        timer._rounds = 0
+        timer._fire_at = deadline
+        timer._migrated = False
+        # Same destination as _place, uncharged: the fused charge below
+        # prices the search, and expiry behaviour is bit-identical to a
+        # remove + reinsert.
+        level, _ = self._destination(deadline)
+        slot_index = level.slot_for(deadline)
+        timer._level = level.index
+        timer._slot_index = slot_index
+        self.counter.charge(**self._UPDATE_CHARGE)
+        level.link(slot_index, timer)
 
     def _collect_expired(self) -> List[Timer]:
         expired: List[Timer] = []

@@ -49,13 +49,12 @@ class LossyHierarchicalScheduler(HierarchicalWheelScheduler):
         slot_counts: Sequence[int] = PAPER_LEVELS,
         rounding: str = "nearest",
         counter: Optional[OpCounter] = None,
-        recycle: bool = False,
     ) -> None:
         if rounding not in ("nearest", "down"):
             raise TimerConfigurationError(
                 f"rounding must be 'nearest' or 'down', got {rounding!r}"
             )
-        super().__init__(slot_counts, counter, recycle=recycle)
+        super().__init__(slot_counts, counter)
         self.rounding = rounding
 
     def introspect(self) -> Dict[str, object]:
@@ -72,7 +71,7 @@ class LossyHierarchicalScheduler(HierarchicalWheelScheduler):
         # The paper's own example rounds "to the nearest hour" for a timer
         # whose hour digit changes, so level selection follows the same
         # mixed-radix rule as the parent scheduler.
-        level = self._level_by_digits(timer.deadline)
+        level = self._charged_destination(timer.deadline)
         if level.index == 0:
             # Finest level: exact, nothing to round.
             timer._fire_at = timer.deadline

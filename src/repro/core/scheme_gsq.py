@@ -56,9 +56,8 @@ class GroupedSortingQueueScheduler(TimerScheduler):
         self,
         group_span: int = 64,
         counter: Optional[OpCounter] = None,
-        recycle: bool = False,
     ) -> None:
-        super().__init__(counter, recycle=recycle)
+        super().__init__(counter)
         check_positive_int("group_span", group_span)
         if group_span < 2:
             raise TimerConfigurationError("group_span must be at least 2")

@@ -1,15 +1,28 @@
-"""Scheduler base for struct-of-arrays timer storage.
+"""Scheduler base for struct-of-arrays timer storage, and the ``store=`` switch.
 
-:class:`SoATimerScheduler` is the row-oriented twin of
-:class:`~repro.core.interface.TimerScheduler`: same four-routine client
-API, same observer stream, same error policies and sparse-tick fast path
-(all inherited), but every pending timer is a row in one
-:class:`~repro.structures.soa.SoATimerStore` instead of a heap-allocated
-:class:`~repro.core.interface.Timer`. Concrete schemes implement
-``_insert_row`` / ``_remove_row`` / ``_collect_expired`` over the store's
-link columns (see :mod:`repro.core.soa_schemes`) and must charge the
-OpCounter **bit-identically** to their object-store twins — the
-equivalence suites diff the counters and expiry streams between stores.
+A scheme with an SoA store is written once as a *geometry* base —
+:class:`~repro.core.scheme4_wheel.TimingWheelGeometry`,
+:class:`~repro.core.scheme6_hashed_unsorted.HashedWheelGeometry` or
+:class:`~repro.core.scheme7_hierarchical.HierarchicalWheelGeometry` —
+that owns everything the paper defines: constructor validation, cursor,
+occupancy bitmap, calibrated charges, slot arithmetic, the sparse-tick
+fast path and ``introspect``. Two store classes inherit it side by side:
+the object class links :class:`~repro.core.interface.Timer` records into
+``DLinkedList`` slots, and its twin in :mod:`repro.core.soa_schemes`
+mixes in :class:`SoATimerScheduler` and links rows of one
+:class:`~repro.structures.soa.SoATimerStore`. Each store class keeps only
+its container constructor and its four store hooks (``_insert`` /
+``_remove`` / ``_update`` / ``_collect_expired``, or the ``_row`` forms
+here), so OpCounter charges, expiry order and fast-path events are the
+same on both stores by construction — and the equivalence suites diff
+them anyway.
+
+:class:`SoATimerScheduler` carries the row store's client surface: same
+four-routine API, observer stream and error policies as
+:class:`~repro.core.interface.TimerScheduler`, but every pending timer is
+a row instead of a heap-allocated record. :class:`StoreSelectable` is the
+one ``__new__`` that turns ``store="soa"`` on an object class into its
+twin, so registry names and client code never change.
 
 Identity model
 --------------
@@ -18,10 +31,12 @@ flyweight, not a record. With an **auto id** (``request_id=None``) the
 timer's public id *is* the store's packed generation-tagged int handle:
 no id string, no dict entry — the memory tier the MILLIONS bench prices.
 An **explicit id** additionally lands in an id → row dict so STOP_TIMER
-by client id keeps working. Either way a handle or view held across the
-row's free-and-reuse raises
-:class:`~repro.core.errors.StaleTimerHandleError` — the store's free
-list is the allocator, so use-after-free checking is native, not opt-in.
+by client id keeps working. The two namespaces never name two live
+timers at once: an explicit int id equal to a live handle is rejected,
+and an auto handle equal to a live explicit id is re-tagged. A handle or
+view held across the row's free-and-reuse raises
+:class:`~repro.core.errors.StaleTimerHandleError` — the store's free list
+is the allocator, so use-after-free checking is native.
 
 Finalised timers (stopped, expired, shutdown-cancelled) are materialised
 as ordinary :class:`Timer` records at the moment they leave the store,
@@ -34,6 +49,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Optional, Union
 
 from repro.core.errors import (
+    TimerConfigurationError,
     TimerStateError,
     UnknownTimerError,
 )
@@ -45,34 +61,69 @@ from repro.core.interface import (
 )
 from repro.core.observer import NULL_OBSERVER
 from repro.core.validation import check_interval
-from repro.cost.counters import OpCounter
 from repro.structures.soa import SoATimerStore, SoATimerView
 
 
-class SoATimerScheduler(TimerScheduler):
-    """Abstract scheduler whose pending timers live in an SoA store.
+class StoreSelectable:
+    """``store=`` constructor switch for an object scheme with an SoA twin.
 
-    Subclasses own the wheel geometry (head tables, cursors, bitmaps) and
-    implement the three row hooks; clock advance, observer dispatch,
-    expiry-action policies, and the ``advance_to`` fast path are inherited
-    unchanged from :class:`TimerScheduler`.
+    Mixed in ahead of the geometry base by the object classes of schemes
+    4, 6 and 7. ``store="object"`` (the default) builds the class itself;
+    ``store="soa"`` builds the twin named by ``_soa_twin`` in
+    :mod:`repro.core.soa_schemes` instead — same scheme, same OpCounter
+    charges and expiry order, a fraction of the memory per timer (see
+    ``docs/performance.md``). The twin is not a subclass, so Python skips
+    the object ``__init__`` and the twin is built whole here. Subclasses
+    (the Nichols variants) keep their object records and reject
+    ``store="soa"``.
+    """
+
+    #: class name of the struct-of-arrays twin in ``repro.core.soa_schemes``.
+    _soa_twin = ""
+
+    def __new__(cls, *args, store: str = "object", soa_store=None, **kwargs):
+        if store not in ("object", "soa"):
+            raise TimerConfigurationError(
+                f"store must be 'object' or 'soa', got {store!r}"
+            )
+        if store == "object":
+            if soa_store is not None:
+                raise TimerConfigurationError("soa_store requires store='soa'")
+            return super().__new__(cls)
+        if "_soa_twin" not in vars(cls):
+            owner = next(k for k in cls.__mro__ if "_soa_twin" in vars(k))
+            raise TimerConfigurationError(
+                f"store='soa' is not available on {cls.__name__}; "
+                f"construct {owner.__name__} directly"
+            )
+        from repro.core import soa_schemes
+
+        twin = getattr(soa_schemes, cls._soa_twin)
+        return twin(*args, soa_store=soa_store, **kwargs)
+
+
+class SoATimerScheduler(TimerScheduler):
+    """Client surface of a scheduler whose pending timers live in an SoA store.
+
+    Mixed in ahead of a scheme's geometry base; the concrete class adds
+    its head tables and the row hooks ``_insert_row`` / ``_remove_row`` /
+    ``_update_row`` / ``_collect_expired``. Clock advance, observer
+    dispatch, expiry-action policies and the ``advance_to`` fast path are
+    inherited unchanged from :class:`TimerScheduler`.
     """
 
     def __init__(
         self,
-        counter: Optional[OpCounter] = None,
-        recycle: bool = False,
+        *args,
         soa_store: Optional[SoATimerStore] = None,
+        **kwargs,
     ) -> None:
-        # ``recycle`` is accepted for constructor parity with the object
-        # schemes and ignored: SoA rows are *always* pooled — the free
-        # list is the allocator, not an opt-in cache.
-        #
         # ``soa_store`` injects a pre-built store — the shard backends use
         # it to hand a scheduler a shared-memory-backed
         # :class:`~repro.structures.soa.SharedSoATimerStore` so the timer
         # state lives in an OS shm block instead of process-private heap.
-        super().__init__(counter, recycle=False)
+        # The remaining arguments go to the geometry base.
+        super().__init__(*args, **kwargs)
         if soa_store is not None and soa_store.live_count:
             raise ValueError(
                 "injected store already holds live rows; schedulers must "
@@ -99,14 +150,25 @@ class SoATimerScheduler(TimerScheduler):
         self._check_open()
         check_interval(interval, self.max_start_interval())
         store = self._store
-        if request_id is not None and request_id in self._id_rows:
-            raise TimerStateError(
-                f"request_id {request_id!r} already names a pending timer"
+        id_rows = self._id_rows
+        if request_id is None:
+            row = store.alloc(self._now, interval, None, callback, user_data)
+            if id_rows:
+                # An explicit int id may equal this row's handle: move the
+                # row to its next generation until the handle is unclaimed.
+                while store.handle_of(row) in id_rows:
+                    store.retag(row)
+            self._insert_row(row)
+        else:
+            if self.is_pending(request_id):
+                raise TimerStateError(
+                    f"request_id {request_id!r} already names a pending timer"
+                )
+            row = store.alloc(
+                self._now, interval, request_id, callback, user_data
             )
-        row = store.alloc(self._now, interval, request_id, callback, user_data)
-        self._insert_row(row)
-        if request_id is not None:
-            self._id_rows[request_id] = row
+            self._insert_row(row)
+            id_rows[request_id] = row
         self.total_started += 1
         view = SoATimerView(store, row, store.meta_col[row] >> 1)
         observer = self.observer
@@ -140,22 +202,6 @@ class SoATimerScheduler(TimerScheduler):
         if observer is not NULL_OBSERVER:
             observer.on_update(self, view, old_deadline)
         return view
-
-    def _update_row(self, row: int, new_interval: int) -> None:
-        """Re-place ``row`` at ``now + new_interval``.
-
-        Default: the scheme's own unlink → column rewrite → relink (slots
-        are derived from the *old* deadline, so the removal runs first).
-        The wheel twins override this with the same fused UPDATE charge as
-        their object twins.
-        """
-        self._remove_row(row)
-        store = self._store
-        now = self._now
-        store.started_col[row] = now
-        store.deadline_col[row] = now + new_interval
-        store.aux_col[row] = 0
-        self._insert_row(row)
 
     def restart_timer(
         self,
@@ -244,35 +290,6 @@ class SoATimerScheduler(TimerScheduler):
         self._id_rows.clear()
         self._shut_down = True
         return cancelled
-
-    def run_until_idle(self, max_ticks: int = 1_000_000) -> List[Timer]:
-        """Advance until no rows remain live (see base-class docstring)."""
-        from repro.core.errors import TimerLivelockError
-
-        expired: List[Timer] = []
-        start_now = self._now
-        cap = start_now + max_ticks
-        while self._store.live_count:
-            if self._now - start_now >= max_ticks:
-                if self.observer is not NULL_OBSERVER:
-                    self.observer.on_anomaly(
-                        self,
-                        "livelock",
-                        {
-                            "pending": self.pending_count,
-                            "max_ticks": max_ticks,
-                            "now": self._now,
-                        },
-                    )
-                raise TimerLivelockError(
-                    f"{self.pending_count} timer(s) still pending after "
-                    f"{max_ticks} ticks (now={self._now}); raise max_ticks "
-                    "or stop the self-re-arming timers"
-                )
-            event = self._next_event()
-            target = cap if event is None else min(event, cap)
-            self.advance_to(target, _sink=expired)
-        return expired
 
     # ------------------------------------------------------------ inspection
 
@@ -395,6 +412,10 @@ class SoATimerScheduler(TimerScheduler):
 
     def _remove_row(self, row: int) -> None:
         """Remove pending ``row`` from the structure (charges ops)."""
+        raise NotImplementedError
+
+    def _update_row(self, row: int, new_interval: int) -> None:
+        """Re-place pending ``row`` at ``now + new_interval`` (charges ops)."""
         raise NotImplementedError
 
     # The object-record hooks are dead code on an SoA scheme; defined so

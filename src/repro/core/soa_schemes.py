@@ -1,24 +1,30 @@
 """Schemes 4, 6 and 7 over the struct-of-arrays store.
 
-Each class here is the row-oriented twin of one hot wheel scheme —
-:class:`~repro.core.scheme4_wheel.TimingWheelScheduler`,
-:class:`~repro.core.scheme6_hashed_unsorted.HashedWheelUnsortedScheduler`
-and :class:`~repro.core.scheme7_hierarchical.HierarchicalWheelScheduler`
-— selected by passing ``store="soa"`` to the object class's constructor
-(the ``__new__`` dispatch lives there, so registry names and client code
-never change). Wheel slots are ``array('q')`` head tables; chains run
-through the store's ``next``/``prev`` columns; the scheme-private word
-(Scheme 6's rounds count, Scheme 7's level) lives in the ``aux`` column.
+Each class here is the row store of one hot wheel scheme, selected by
+passing ``store="soa"`` to the object class's constructor (the dispatch
+is :class:`~repro.core.soa_base.StoreSelectable`, so registry names and
+client code never change). It inherits the scheme's geometry base —
+:class:`~repro.core.scheme4_wheel.TimingWheelGeometry`,
+:class:`~repro.core.scheme6_hashed_unsorted.HashedWheelGeometry` or
+:class:`~repro.core.scheme7_hierarchical.HierarchicalWheelGeometry` —
+alongside :class:`~repro.core.soa_base.SoATimerScheduler`, exactly as the
+object class does alongside its lists. What is shared therefore lives
+once: validation, cursor, occupancy bitmap, the calibrated ``_*_CHARGE``
+constants (Scheme 6's Section 7 instruction mixes included), slot and
+rounds arithmetic, Scheme 7's placement rules, the sparse-tick fast path
+and ``introspect``.
 
-Equivalence contract (enforced by ``tests/core/test_soa_store.py`` and
-the chaos differential): for any operation sequence, an SoA scheme and
-its object twin produce **bit-identical** OpCounter totals, expiry order,
-occupancy-bitmap state and sparse-tick events. Every ``charge`` call
-below is copied literally from the twin, including Scheme 6's calibrated
-Section 7 instruction mixes; intra-slot expiry order is preserved because
-``link_front`` + front-to-back drain is exactly ``push_front`` +
-``drain()``. What differs is only memory: no per-timer objects, no
-pointer-chased lists — the regime the MILLIONS bench prices.
+What is store-specific is only the containers and the per-entry loops:
+wheel slots are ``array('q')`` head tables, chains run through the
+store's ``next``/``prev`` columns, and the scheme-private word (Scheme
+6's rounds count, Scheme 7's level) lives in the ``aux`` column. The
+row hooks charge the OpCounter at the same points as the object hooks,
+and intra-slot expiry order matches because ``link_front`` + front-to-
+back drain is exactly ``push_front`` + ``drain()``;
+``tests/core/test_soa_store.py`` and the chaos differential diff the
+counters and expiry streams between stores. What differs is memory: no
+per-timer objects, no pointer-chased lists — the regime the MILLIONS
+bench prices.
 
 Slot indices are *derived*, not stored: scheme 4's wheel keeps the
 invariant ``cursor == now % max_interval``, so a pending row's slot is
@@ -30,81 +36,36 @@ scheme 7). That is what frees the store from a per-timer slot field.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
-from repro.core.errors import TimerConfigurationError
 from repro.core.interface import Timer
-from repro.core.introspect import occupancy_summary
 from repro.core.observer import NULL_OBSERVER
+from repro.core.scheme4_wheel import TimingWheelGeometry
+from repro.core.scheme6_hashed_unsorted import HashedWheelGeometry
+from repro.core.scheme7_hierarchical import (
+    HierarchicalWheelGeometry,
+    WheelLevel,
+)
 from repro.core.soa_base import SoATimerScheduler
-from repro.core.validation import check_positive_int
 from repro.cost.counters import OpCounter
-from repro.structures.bitmap import SlotBitmap
-from repro.structures.soa import NIL, SoATimerView
+from repro.structures.soa import NIL, SoATimerStore, SoATimerView
 
 
-class SoATimingWheelScheduler(SoATimerScheduler):
+class SoATimingWheelScheduler(SoATimerScheduler, TimingWheelGeometry):
     """Scheme 4 on the SoA store: circular head table, one tick per slot."""
-
-    scheme_name = "scheme4"
 
     def __init__(
         self,
         max_interval: int,
         counter: Optional[OpCounter] = None,
-        recycle: bool = False,
-        soa_store=None,
+        soa_store: Optional[SoATimerStore] = None,
     ) -> None:
-        super().__init__(counter, recycle=recycle, soa_store=soa_store)
-        check_positive_int("max_interval", max_interval)
-        if max_interval < 2:
-            raise TimerConfigurationError("max_interval must be at least 2")
-        self.max_interval = max_interval
+        super().__init__(max_interval, counter, soa_store=soa_store)
         self._heads = array("q", [NIL]) * max_interval
-        self._cursor = 0  # invariant: cursor == now % max_interval
-        self._occupancy = SlotBitmap(max_interval)
-
-    def max_start_interval(self) -> Optional[int]:
-        return self.max_interval
-
-    @property
-    def cursor(self) -> int:
-        """Current time pointer (index into the circular head table)."""
-        return self._cursor
 
     def slot_sizes(self) -> List[int]:
-        """Occupancy of each slot, for inspection and tests."""
         store = self._store
         return [store.chain_length(head) for head in self._heads]
-
-    def introspect(self) -> Dict[str, object]:
-        info = super().introspect()
-        info["structure"] = {
-            "kind": "wheel",
-            "max_interval": self.max_interval,
-            "cursor": self._cursor,
-            "slot_occupancy": occupancy_summary(self.slot_sizes()),
-        }
-        return info
-
-    def next_expiry(self) -> Optional[int]:
-        """Exact: every occupied slot's visit tick *is* a deadline here."""
-        index = self._occupancy.next_set_circular(
-            (self._cursor + 1) % self.max_interval
-        )
-        if index is None:
-            return None
-        distance = (index - self._cursor - 1) % self.max_interval + 1
-        return self._now + distance
-
-    def _next_event(self) -> Optional[int]:
-        return self.next_expiry()
-
-    def _charge_empty_ticks(self, count: int) -> None:
-        # Per empty tick: pointer increment (write), slot load (read),
-        # zero check (compare); the cursor advances with the clock.
-        self._cursor = (self._cursor + count) % self.max_interval
-        self.counter.charge(writes=count, reads=count, compares=count)
 
     def _insert_row(self, row: int) -> None:
         store = self._store
@@ -121,9 +82,6 @@ class SoATimingWheelScheduler(SoATimerScheduler):
         self.counter.link(1)
         if self._heads[index] == NIL:
             self._occupancy.clear(index)
-
-    # Same fused two-splice UPDATE charge as the object twin.
-    _UPDATE_CHARGE = dict(links=2)  # = 2
 
     def _update_row(self, row: int, new_interval: int) -> None:
         store = self._store
@@ -163,84 +121,21 @@ class SoATimingWheelScheduler(SoATimerScheduler):
         return expired
 
 
-class SoAHashedWheelUnsortedScheduler(SoATimerScheduler):
+class SoAHashedWheelUnsortedScheduler(SoATimerScheduler, HashedWheelGeometry):
     """Scheme 6 on the SoA store: hashed head table, rounds in ``aux``."""
-
-    scheme_name = "scheme6"
-
-    # Identical calibrated Section 7 instruction mixes as the object twin.
-    _INSERT_CHARGE = dict(reads=4, writes=4, compares=1, links=4)  # = 13
-    _DELETE_CHARGE = dict(reads=2, writes=1, links=4)  # = 7
-    _EMPTY_TICK_CHARGE = dict(reads=2, writes=1, compares=1)  # = 4
-    _DECREMENT_CHARGE = dict(reads=3, writes=1, compares=1, links=1)  # = 6
-    _EXPIRE_CHARGE = dict(reads=3, writes=3, compares=1, links=2)  # = 9
-    _UPDATE_CHARGE = dict(reads=3, writes=2, compares=1, links=4)  # = 10
 
     def __init__(
         self,
         table_size: int = 256,
         counter: Optional[OpCounter] = None,
-        recycle: bool = False,
-        soa_store=None,
+        soa_store: Optional[SoATimerStore] = None,
     ) -> None:
-        super().__init__(counter, recycle=recycle, soa_store=soa_store)
-        check_positive_int("table_size", table_size)
-        self.table_size = table_size
+        super().__init__(table_size, counter, soa_store=soa_store)
         self._heads = array("q", [NIL]) * table_size
-        self._cursor = 0  # invariant: cursor == now % table_size
-        self._occupancy = SlotBitmap(table_size)
-        #: bucket entries visited (decremented or expired) across all ticks.
-        self.entry_visits = 0
-
-    @property
-    def cursor(self) -> int:
-        """Current time pointer (index into the hash array)."""
-        return self._cursor
 
     def bucket_sizes(self) -> List[int]:
-        """Occupancy of each bucket, for inspection and tests."""
         store = self._store
         return [store.chain_length(head) for head in self._heads]
-
-    def bucket_index_for(self, interval: int) -> int:
-        """The slot an interval hashes to: ``(cursor + interval) mod size``."""
-        return (self._cursor + interval) % self.table_size
-
-    def rounds_for(self, interval: int) -> int:
-        """Remaining full revolutions (see the object twin's derivation)."""
-        return (interval - 1) // self.table_size
-
-    def introspect(self) -> Dict[str, object]:
-        info = super().introspect()
-        info["structure"] = {
-            "kind": "hashed-wheel-unsorted",
-            "table_size": self.table_size,
-            "cursor": self._cursor,
-            "chains": occupancy_summary(self.bucket_sizes()),
-            "entry_visits": self.entry_visits,
-        }
-        return info
-
-    def next_expiry(self) -> Optional[int]:
-        """Next occupied-bucket visit: a lower bound on the next firing."""
-        index = self._occupancy.next_set_circular(
-            (self._cursor + 1) % self.table_size
-        )
-        if index is None:
-            return None
-        distance = (index - self._cursor - 1) % self.table_size + 1
-        return self._now + distance
-
-    def _next_event(self) -> Optional[int]:
-        return self.next_expiry()
-
-    def _charge_empty_ticks(self, count: int) -> None:
-        self._cursor = (self._cursor + count) % self.table_size
-        self.counter.charge(
-            reads=self._EMPTY_TICK_CHARGE["reads"] * count,
-            writes=self._EMPTY_TICK_CHARGE["writes"] * count,
-            compares=self._EMPTY_TICK_CHARGE["compares"] * count,
-        )
 
     def _insert_row(self, row: int) -> None:
         store = self._store
@@ -306,141 +201,31 @@ class SoAHashedWheelUnsortedScheduler(SoATimerScheduler):
         return expired
 
 
-class _SoALevel:
-    """One wheel of the SoA hierarchy: a head table plus its bitmap."""
+class _SoALevel(WheelLevel):
+    """One wheel of the SoA hierarchy: a head table beside its bitmap."""
 
-    __slots__ = (
-        "index", "slot_count", "granularity", "span", "heads", "occupancy"
-    )
+    __slots__ = ("heads",)
 
     def __init__(self, index: int, slot_count: int, granularity: int) -> None:
-        self.index = index
-        self.slot_count = slot_count
-        self.granularity = granularity
-        self.span = granularity * slot_count
+        super().__init__(index, slot_count, granularity)
         self.heads = array("q", [NIL]) * slot_count
-        self.occupancy = SlotBitmap(slot_count)
-
-    def slot_for(self, deadline: int) -> int:
-        return (deadline // self.granularity) % self.slot_count
 
 
-class SoAHierarchicalWheelScheduler(SoATimerScheduler):
+class SoAHierarchicalWheelScheduler(
+    SoATimerScheduler, HierarchicalWheelGeometry
+):
     """Scheme 7 on the SoA store: per-level head tables, level in ``aux``."""
 
-    scheme_name = "scheme7"
-
-    def __init__(
-        self,
-        slot_counts: Sequence[int] = (60, 60, 24, 100),
-        counter: Optional[OpCounter] = None,
-        placement: str = "paper",
-        recycle: bool = False,
-        soa_store=None,
-    ) -> None:
-        super().__init__(counter, recycle=recycle, soa_store=soa_store)
-        if placement not in ("paper", "span"):
-            raise TimerConfigurationError(
-                f"placement must be 'paper' or 'span', got {placement!r}"
-            )
-        self.placement = placement
-        if not slot_counts:
-            raise TimerConfigurationError("at least one level is required")
-        self._levels: List[_SoALevel] = []
-        granularity = 1
-        for index, count in enumerate(slot_counts):
-            check_positive_int(f"slot_counts[{index}]", count)
-            if count < 2:
-                raise TimerConfigurationError(
-                    f"slot_counts[{index}] must be >= 2 to be a wheel"
-                )
-            self._levels.append(_SoALevel(index, count, granularity))
-            granularity *= count
-        self.total_span = granularity
-        self.total_slots = sum(level.slot_count for level in self._levels)
-        self.migrations = 0
-        self.cascades = 0
-
-    # ------------------------------------------------------------ inspection
-
-    @property
-    def levels(self) -> int:
-        """Number of wheels (the paper's ``m``)."""
-        return len(self._levels)
-
-    def level_granularities(self) -> List[int]:
-        """Tick width of one slot at each level."""
-        return [level.granularity for level in self._levels]
-
-    def level_spans(self) -> List[int]:
-        """Total ticks covered by each level's wheel."""
-        return [level.span for level in self._levels]
-
-    def cursor_positions(self) -> List[int]:
-        """Current slot index of each level's conceptual cursor."""
-        return [
-            (self._now // level.granularity) % level.slot_count
-            for level in self._levels
-        ]
+    _level_class = _SoALevel
 
     def slot_sizes(self, level: int) -> List[int]:
-        """Occupancy of each slot at ``level``, for inspection and tests."""
         store = self._store
         return [store.chain_length(h) for h in self._levels[level].heads]
-
-    def max_start_interval(self) -> Optional[int]:
-        return self.total_span
-
-    def introspect(self) -> Dict[str, object]:
-        info = super().introspect()
-        info["structure"] = {
-            "kind": "hierarchy",
-            "levels": [
-                {
-                    "index": level.index,
-                    "slot_count": level.slot_count,
-                    "granularity": level.granularity,
-                    "span": level.span,
-                    "cursor": (self._now // level.granularity)
-                    % level.slot_count,
-                    "occupancy": occupancy_summary(
-                        self.slot_sizes(level.index)
-                    ),
-                }
-                for level in self._levels
-            ],
-            "placement": self.placement,
-            "migrations": self.migrations,
-            "cascades": self.cascades,
-        }
-        return info
-
-    def level_for_remaining(self, remaining: int) -> int:
-        """Lowest level whose span covers ``remaining`` (O(m) search)."""
-        for level in self._levels:
-            self.counter.compare(1)
-            if remaining < level.span:
-                return level.index
-        raise AssertionError("interval validated against total_span")
-
-    # ------------------------------------------------------------- internals
-
-    def _level_by_digits(self, deadline: int) -> _SoALevel:
-        """The paper's rule: highest level whose unit digit changes."""
-        now = self._now
-        for level in reversed(self._levels):
-            self.counter.compare(1)
-            if deadline // level.granularity != now // level.granularity:
-                return level
-        raise AssertionError("placement requires deadline > now")
 
     def _place(self, row: int) -> None:
         store = self._store
         deadline = store.deadline_col[row]
-        if self.placement == "paper":
-            level = self._level_by_digits(deadline)
-        else:
-            level = self._levels[self.level_for_remaining(deadline - self._now)]
+        level = self._charged_destination(deadline)
         slot_index = level.slot_for(deadline)
         store.aux_col[row] = level.index
         self.counter.charge(reads=1, writes=1, links=1)
@@ -459,9 +244,6 @@ class SoAHierarchicalWheelScheduler(SoATimerScheduler):
             level.occupancy.clear(slot_index)
         self.counter.link(1)
 
-    # Same fused UPDATE charge as the object twin (two splices + level read).
-    _UPDATE_CHARGE = dict(reads=1, links=2)  # = 3
-
     def _update_row(self, row: int, new_interval: int) -> None:
         store = self._store
         level = self._levels[store.aux_col[row]]
@@ -473,16 +255,8 @@ class SoAHierarchicalWheelScheduler(SoATimerScheduler):
         store.started_col[row] = now
         deadline = now + new_interval
         store.deadline_col[row] = deadline
-        # Uncharged placement search, mirroring the object twin's fused
-        # update: same destination rule as _place, one UPDATE charge.
-        if self.placement == "paper":
-            for level in reversed(self._levels):
-                if deadline // level.granularity != now // level.granularity:
-                    break
-        else:
-            for level in self._levels:
-                if new_interval < level.span:
-                    break
+        # Same destination as _place, uncharged: the fused charge prices it.
+        level, _ = self._destination(deadline)
         slot_index = level.slot_for(deadline)
         store.aux_col[row] = level.index
         self.counter.charge(**self._UPDATE_CHARGE)
@@ -506,41 +280,6 @@ class SoAHierarchicalWheelScheduler(SoATimerScheduler):
                     from_level,
                     store.aux_col[row],
                 )
-
-    def next_expiry(self) -> Optional[int]:
-        """Next tick that visits an occupied slot on any level."""
-        best: Optional[int] = None
-        now = self._now
-        for level in self._levels:
-            if not level.occupancy.any():
-                continue
-            unit_now = now // level.granularity
-            index = level.occupancy.next_set_circular(
-                (unit_now + 1) % level.slot_count
-            )
-            if index is None:
-                continue
-            unit_distance = (index - unit_now - 1) % level.slot_count + 1
-            visit = (unit_now + unit_distance) * level.granularity
-            if best is None or visit < best:
-                best = visit
-        return best
-
-    def _next_event(self) -> Optional[int]:
-        return self.next_expiry()
-
-    def _charge_empty_ticks(self, count: int) -> None:
-        now = self._now
-        crossings = 0
-        for level in self._levels[1:]:
-            g = level.granularity
-            crossings += (now + count) // g - now // g
-        self.cascades += crossings
-        self.counter.charge(
-            writes=2 * count,
-            reads=count + crossings,
-            compares=count + crossings,
-        )
 
     def _collect_expired(self) -> List[Timer]:
         expired: List[Timer] = []

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import List, Union
 
 from repro.core.interface import Timer
-from repro.core.scheme6_hashed_unsorted import HashedWheelUnsortedScheduler
-from repro.core.scheme7_hierarchical import HierarchicalWheelScheduler
+from repro.core.scheme6_hashed_unsorted import HashedWheelGeometry
+from repro.core.scheme7_hierarchical import HierarchicalWheelGeometry
 
 
 @dataclass
@@ -54,6 +54,9 @@ class ChipReport:
 class ScanningChipAssist:
     """Busy-bit scanning chip wrapped around a Scheme 6 or Scheme 7 module.
 
+    The chip reads only the wheel geometry (table size or levels, cursor,
+    per-slot occupancy), so either store works: the object classes and
+    their ``store="soa"`` twins share the geometry bases it checks for.
     Use it like a scheduler: :meth:`start_timer`, :meth:`stop_timer`,
     :meth:`tick`. Every call keeps the chip's busy bits consistent with the
     host's queues and counts the interrupts the hardware would raise.
@@ -61,10 +64,10 @@ class ScanningChipAssist:
 
     def __init__(
         self,
-        scheduler: Union[HashedWheelUnsortedScheduler, HierarchicalWheelScheduler],
+        scheduler: Union[HashedWheelGeometry, HierarchicalWheelGeometry],
     ) -> None:
         if not isinstance(
-            scheduler, (HashedWheelUnsortedScheduler, HierarchicalWheelScheduler)
+            scheduler, (HashedWheelGeometry, HierarchicalWheelGeometry)
         ):
             raise TypeError(
                 "the scanning chip supports the array-based Schemes 6 and 7; "
@@ -78,13 +81,13 @@ class ScanningChipAssist:
 
     def _slot_counts(self) -> List[int]:
         sched = self.scheduler
-        if isinstance(sched, HashedWheelUnsortedScheduler):
+        if isinstance(sched, HashedWheelGeometry):
             return [sched.table_size]
         return [level.slot_count for level in sched._levels]
 
     def _occupancy(self) -> List[List[int]]:
         sched = self.scheduler
-        if isinstance(sched, HashedWheelUnsortedScheduler):
+        if isinstance(sched, HashedWheelGeometry):
             return [sched.bucket_sizes()]
         return [sched.slot_sizes(level) for level in range(sched.levels)]
 
@@ -141,7 +144,7 @@ class ScanningChipAssist:
         """Would the next scan step hit a busy location?"""
         sched = self.scheduler
         next_time = sched.now + 1
-        if isinstance(sched, HashedWheelUnsortedScheduler):
+        if isinstance(sched, HashedWheelGeometry):
             nxt = (sched.cursor + 1) % sched.table_size
             return self._busy[0][nxt]
         hit = False

@@ -688,7 +688,7 @@ class ShardedTimerService:
 
     @property
     def free_record_count(self) -> int:
-        """Pooled recycled records across all shards."""
+        """Free SoA rows pooled across all shards (0 on object stores)."""
         return sum(self._scatter_get("free_record_count"))
 
     def pending_timers(self) -> List[Timer]:

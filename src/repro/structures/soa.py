@@ -20,10 +20,9 @@ Handles are generation-tagged: the packed public handle is
 ``(generation << 36) | row``, and every decode checks the row's current
 generation, so a handle held across a free-and-reuse raises
 :class:`~repro.core.errors.StaleTimerHandleError` instead of silently
-addressing the recycled timer — the same contract
-:class:`~repro.core.interface.TimerHandle` gives the object store's
-``recycle=True`` free list, enforced natively here (the free list *is*
-the allocator).
+addressing the row's next timer. The free list *is* the allocator, so
+the check is always on. The object store needs no such tag: it never reuses a
+:class:`~repro.core.interface.Timer` record as a different timer.
 
 Live rows are exposed to clients as :class:`SoATimerView` flyweights
 (materialised on demand, never retained per armed timer); finalised
@@ -65,10 +64,9 @@ def unpack_handle(handle: int) -> "tuple[int, int]":
 class SoATimerStore:
     """Parallel-column timer records addressed by generation-tagged rows.
 
-    The store owns allocation (a row free list — the recycle free-list
-    idea promoted to *the* allocator), the per-row fields, and the
-    intrusive linked-list plumbing that wheel schemes run through the
-    ``next``/``prev`` columns. It knows nothing about wheels: schemes own
+    The store owns allocation (a row free list is *the* allocator), the
+    per-row fields, and the intrusive linked-list plumbing that wheel
+    schemes run through the ``next``/``prev`` columns. It knows nothing about wheels: schemes own
     their head tables and cursors and call :meth:`link_front` /
     :meth:`unlink` / :meth:`pop_front` with them.
     """
@@ -184,6 +182,15 @@ class SoATimerStore:
     def handle_of(self, row: int) -> int:
         """The packed generation-tagged handle for (live) ``row``."""
         return (self.meta_col[row] >> 1 << ROW_BITS) | row
+
+    def retag(self, row: int) -> None:
+        """Move live ``row`` to its next generation, without freeing it.
+
+        Every handle or view of the row's previous generation goes stale;
+        the scheduler uses this to give an auto-id row a handle no
+        explicit client id already names.
+        """
+        self.meta_col[row] += 2  # generation + 1, live bit untouched
 
     def interval(self, row: int) -> int:
         """Requested duration of the timer in ``row``."""

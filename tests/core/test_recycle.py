@@ -1,9 +1,10 @@
-"""Opt-in Timer record recycling (``recycle=True``).
+"""Timer records are never reused.
 
-The invariant under test: a pooled record is only ever handed back out
-*after* it is fully finalised — never while it is pending, and never
-while the tick that expired it is still running callbacks — so no two
-live handles can alias one record.
+START_TIMER always allocates a fresh record and the object store keeps no
+free list, so a record returned by ``start_timer``, ``stop_timer`` or
+``tick`` names its timer for as long as the client holds it, and no two
+live timers ever share a record. The SoA store's free rows are covered in
+``tests/core/test_soa_store.py`` and ``tests/core/test_stale_handles.py``.
 """
 
 from __future__ import annotations
@@ -24,65 +25,20 @@ def test_off_by_default(any_scheduler):
     assert any_scheduler.free_record_count == 0
     replacement = any_scheduler.start_timer(3)
     assert replacement is not timer
-    # Finalised records stay valid indefinitely without recycling.
+    # Finalised records stay valid indefinitely: nothing reuses them.
     assert timer.state is TimerState.STOPPED
-
-
-class TestPoolMechanics:
-    def test_stopped_record_is_reused(self):
-        scheduler = make_scheduler("scheme6", recycle=True)
-        timer = scheduler.start_timer(10, request_id="a")
-        scheduler.stop_timer(timer)
-        assert scheduler.free_record_count == 1
-        reused = scheduler.start_timer(20, request_id="b")
-        assert reused is timer
-        assert scheduler.free_record_count == 0
-        assert reused.request_id == "b"
-        assert reused.interval == 20
-        assert reused.pending
-        assert reused.stopped_at is None
-
-    def test_expired_record_is_reused(self):
-        scheduler = make_scheduler("scheme6", recycle=True)
-        timer = scheduler.start_timer(2)
-        scheduler.advance(2)
-        assert timer.state is TimerState.EXPIRED
-        assert scheduler.free_record_count == 1
-        assert scheduler.start_timer(5) is timer
-
-    def test_introspect_reports_pool_depth(self):
-        scheduler = make_scheduler("scheme6", recycle=True)
-        for timer in [scheduler.start_timer(10) for _ in range(3)]:
-            scheduler.stop_timer(timer)
-        assert scheduler.introspect()["free_records"] == 3
-        plain = make_scheduler("scheme6")
-        assert "free_records" not in plain.introspect()
-
-    def test_reinit_restores_every_init_field(self):
-        scheduler = make_scheduler("scheme6", recycle=True)
-        timer = scheduler.start_timer(
-            7, request_id="x", callback=lambda t: None, user_data={"k": 1}
-        )
-        scheduler.advance(7)
-        reused = scheduler.start_timer(9, request_id="y")
-        assert reused is timer
-        assert reused.callback is None
-        assert reused.user_data is None
-        assert reused.expired_at is None
-        assert reused.fired_at is None
-        assert reused.deadline == scheduler.now + 9
+    assert "free_records" not in any_scheduler.introspect()
 
 
 class TestNoAliasingWhileActive:
     def test_pending_records_are_never_handed_out(self):
-        scheduler = make_scheduler("scheme6", recycle=True)
+        scheduler = make_scheduler("scheme6")
         live = [scheduler.start_timer(1000 + i) for i in range(5)]
         for fresh in (scheduler.start_timer(50 + i) for i in range(5)):
             assert all(fresh is not t for t in live)
 
     def test_reentrant_start_cannot_reuse_this_ticks_record(self):
-        """Pooling happens after the tick's callbacks, not during them."""
-        scheduler = make_scheduler("scheme6", recycle=True)
+        scheduler = make_scheduler("scheme6")
         grabbed = []
 
         def expire_action(timer):
@@ -91,14 +47,13 @@ class TestNoAliasingWhileActive:
         victim = scheduler.start_timer(4, callback=expire_action)
         scheduler.advance(4)
         assert grabbed[0] is not victim
-        # ... but the finalised record is pooled once the tick completes.
-        assert victim in scheduler._free_timers
+        assert victim.state is TimerState.EXPIRED
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_recycled_ids_never_alias_active_records(self, scheme):
-        """Random churn: every start returns a record no live handle holds."""
+        """Random churn: every start returns a record no live timer holds."""
         rng = random.Random(1987)
-        scheduler = build(scheme, recycle=True)
+        scheduler = build(scheme)
         active = {}  # id(record) -> record, while pending
         for _ in range(400):
             op = rng.random()
@@ -113,7 +68,4 @@ class TestNoAliasingWhileActive:
                 for timer in scheduler.advance(rng.randint(1, 40)):
                     active.pop(id(timer), None)
             assert all(t.pending for t in active.values()), scheme
-        # The pool only ever holds finalised, unlinked records.
-        for pooled in scheduler._free_timers:
-            assert not pooled.pending
-            assert not pooled.linked
+        assert scheduler.free_record_count == 0

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from repro.core.interface import Timer, TimerHandle
+from repro.core.interface import Timer
 from repro.core.periodic import PeriodicTimer
 from repro.core.scheme1_unordered import StraightforwardScheduler
 from repro.core.supervision import QuarantineRecord, RearmId, _Entry
@@ -24,7 +24,6 @@ from repro.structures.soa import SoATimerStore, SoATimerView
 RECORD_FACTORIES = [
     (Timer, lambda: Timer("id", 5, 0)),
     (DNode, DNode),
-    (TimerHandle, lambda: Timer("id", 5, 0).handle),
     (RearmId, lambda: RearmId("origin", 1)),
     (_Entry, lambda: _Entry("origin", None, None, 10)),
     (

@@ -50,7 +50,12 @@ IDS = [name for name, _ in PAIRS]
 
 
 def drive(sched, seed: int, steps: int = 300, max_interval: int = 2000):
-    """A deterministic mixed workload; returns every observable artefact."""
+    """A deterministic start/stop/update/tick/advance mix.
+
+    Returns every observable artefact. The update calls put each scheme's
+    fused UPDATE charge (and scheme 7's placement search under both
+    rules) into the OpCounter totals the stores are compared on.
+    """
     rng = random.Random(seed)
     fired = []
     live = {}
@@ -72,6 +77,11 @@ def drive(sched, seed: int, steps: int = 300, max_interval: int = 2000):
                 stopped = sched.stop_timer(key)
                 assert stopped.state is TimerState.STOPPED
             del live[key]
+        if live and rng.random() < 0.3:
+            key = rng.choice(sorted(live))
+            if sched.is_pending(key):
+                updated = sched.update_timer(key, rng.randint(1, max_interval))
+                assert updated.request_id == key
         if rng.random() < 0.4:
             sched.advance(rng.randint(1, 30))
         else:
@@ -185,6 +195,24 @@ class TestSoAClientSurface:
         sched.start_timer(5, request_id="dup")
         with pytest.raises(TimerStateError):
             sched.start_timer(9, request_id="dup")
+
+        # An explicit id equal to a live auto handle names that timer.
+        sched = self._sched()
+        auto = sched.start_timer(10)
+        with pytest.raises(TimerStateError):
+            sched.start_timer(20, request_id=auto.request_id)
+        assert sched.pending_count == 1
+        assert sched.get_timer(auto.request_id).interval == 10
+
+        # An auto handle is never one a live explicit id already holds:
+        # row 1's first handle is 1, so the auto timer takes a later one.
+        sched = self._sched()
+        sched.start_timer(10, request_id=1)
+        auto = sched.start_timer(20)
+        assert auto.request_id != 1
+        assert sched.stop_timer(1).interval == 10
+        assert sched.is_pending(auto.request_id)
+        assert sched.get_timer(auto.request_id).interval == 20
 
     def test_unknown_id_and_double_stop(self):
         sched = self._sched()

@@ -1,13 +1,13 @@
-"""Generation-tagged handles: use-after-free across the recycle free list.
+"""Generation-tagged handles: use-after-free across the SoA row free list.
 
-The regression these tests pin: with ``recycle=True`` (PR 2's record
-pool) a client that holds a finalised ``Timer`` across a later
-``start_timer`` holds the *same Python object reborn as someone else's
-timer* — ``stop_timer(stale_record)`` silently cancelled the wrong
-timer. The fix is the generation tag: ``Timer.generation`` bumps on
-every ``_reinit``, ``timer.handle`` captures it, and resolving a stale
-handle raises :class:`StaleTimerHandleError`. The SoA store enforces the
-same contract natively (its free list *is* the allocator).
+The SoA store's free list is its allocator, so a row freed by expiry or
+STOP_TIMER is handed to the next START_TIMER. A client still holding the
+old int handle (or view) must not reach the new timer: every row carries
+a generation that bumps on free, the handle packs it, and resolving a
+handle whose generation has moved on raises
+:class:`StaleTimerHandleError` (a :class:`TimerStateError`). The object
+store needs no tag: it never reuses a record, so the record itself is an
+unambiguous reference.
 """
 
 from __future__ import annotations
@@ -15,107 +15,87 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import StaleTimerHandleError, TimerStateError
-from repro.core.interface import TimerHandle
 from repro.core.scheme6_hashed_unsorted import HashedWheelUnsortedScheduler
+from repro.structures.soa import unpack_handle
+
+
+def _sched():
+    return HashedWheelUnsortedScheduler(64, store="soa")
+
+
+def _row(handle):
+    return unpack_handle(handle)[0]
 
 
 def _recycled_pair(sched):
-    """Expire one timer, reuse its record; returns (stale_handle, victim)."""
+    """Expire one timer, reuse its row; returns (stale_handle, victim)."""
     first = sched.start_timer(3, request_id="first")
     handle = first.handle
-    sched.advance(3)  # expire -> record pooled
+    sched.advance(3)  # expire -> row freed
     victim = sched.start_timer(50, request_id="victim")
-    assert victim is first, "free list must have reused the record"
+    assert _row(victim.handle) == _row(handle), "free list must reuse the row"
     return handle, victim
 
 
 def test_handle_tracks_generations():
-    sched = HashedWheelUnsortedScheduler(64, recycle=True)
-    timer = sched.start_timer(3, request_id="x")
-    handle = timer.handle
-    assert isinstance(handle, TimerHandle)
-    assert not handle.stale
-    assert handle.resolve() is timer
-    assert timer.generation == 0
-    sched.advance(3)
-    assert not handle.stale  # finalised but not yet reused: still gen 0
-    sched.start_timer(5)  # reuse bumps the generation
-    assert timer.generation == 1
-    assert handle.stale
+    sched = _sched()
+    view = sched.start_timer(3, request_id="x")
+    handle = view.handle
+    assert not view.stale
+    assert sched.get_timer(handle).request_id == "x"
+    assert view.generation == 0
+    sched.advance(3)  # the expiry frees the row: its generation moves on
+    assert view.stale
+    reborn = sched.start_timer(5)
+    assert _row(reborn.handle) == _row(handle)
+    assert reborn.generation == 1
+    assert reborn.handle != handle
 
 
 def test_stale_handle_stop_raises_instead_of_cancelling_victim():
-    """The pre-PR bug: this stop used to kill the victim silently."""
-    sched = HashedWheelUnsortedScheduler(64, recycle=True)
+    sched = _sched()
     handle, victim = _recycled_pair(sched)
     with pytest.raises(StaleTimerHandleError):
         sched.stop_timer(handle)
-    # The reborn timer is untouched — exactly what the raw record path
-    # could not guarantee.
-    assert victim.pending
+    # The row's new timer is untouched.
+    assert not victim.stale
     assert sched.pending_count == 1
     assert sched.is_pending("victim")
 
 
-def test_raw_record_stop_still_cancels_by_identity():
-    """Documented sharp edge: the raw record IS the reborn timer.
-
-    Clients that stop by record reference under ``recycle=True`` must
-    hold handles instead; this pin documents why (the raw path cannot
-    distinguish incarnations, so it cancels whatever the record now is).
-    """
-    sched = HashedWheelUnsortedScheduler(64, recycle=True)
-    first = sched.start_timer(3, request_id="first")
-    sched.advance(3)
-    victim = sched.start_timer(50, request_id="victim")
-    assert victim is first
-    sched.stop_timer(first)  # same object -> stops "victim"
-    assert not sched.is_pending("victim")
-
-
 def test_is_pending_accepts_handles_without_raising():
-    sched = HashedWheelUnsortedScheduler(64, recycle=True)
-    timer = sched.start_timer(3, request_id="x")
-    handle = timer.handle
+    sched = _sched()
+    view = sched.start_timer(3, request_id="x")
+    handle = view.handle
     assert sched.is_pending(handle)
+    assert sched.is_pending(view)
     sched.advance(3)
     assert not sched.is_pending(handle)
-    sched.start_timer(9)  # goes stale: probe stays non-throwing
-    assert handle.stale
+    sched.start_timer(9)  # reuses the row: the probe stays non-throwing
     assert not sched.is_pending(handle)
+    assert not sched.is_pending(view)
 
 
 def test_stop_by_live_handle_works():
-    sched = HashedWheelUnsortedScheduler(64, recycle=True)
-    timer = sched.start_timer(30, request_id="x")
-    stopped = sched.stop_timer(timer.handle)
-    assert stopped is timer
+    sched = _sched()
+    view = sched.start_timer(30, request_id="x")
+    stopped = sched.stop_timer(view.handle)
+    assert stopped.request_id == "x"
     assert not sched.is_pending("x")
 
 
 def test_stopping_finalised_but_unrecycled_handle_is_state_error():
-    """Before reuse the handle still resolves; the state check fires."""
-    sched = HashedWheelUnsortedScheduler(64, recycle=True)
-    timer = sched.start_timer(3, request_id="x")
-    handle = timer.handle
+    """Before reuse the row is already free; the stop is a state error."""
+    sched = _sched()
+    view = sched.start_timer(3, request_id="x")
+    handle = view.handle
     sched.advance(3)
     with pytest.raises(TimerStateError):
         sched.stop_timer(handle)
 
 
-def test_handles_inert_without_recycling():
-    """recycle=False never reuses records, so handles never go stale."""
-    sched = HashedWheelUnsortedScheduler(64)
-    timer = sched.start_timer(3, request_id="x")
-    handle = timer.handle
-    sched.advance(3)
-    sched.start_timer(5)
-    assert not handle.stale
-    assert handle.resolve() is timer
-
-
 def test_soa_store_enforces_the_same_contract_natively():
-    sched = HashedWheelUnsortedScheduler(64, store="soa")
+    sched = _sched()
     view = sched.start_timer(3)
     handle = view.handle
     sched.advance(3)  # expiry frees the row immediately
@@ -127,3 +107,4 @@ def test_soa_store_enforces_the_same_contract_natively():
     assert not sched.is_pending(handle)
     assert sched.is_pending(victim.handle)
     assert sched.pending_count == 1
+

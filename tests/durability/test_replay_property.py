@@ -4,7 +4,7 @@ Generate a random interleaving of starts, stops, and clock advances;
 run a prefix durably, kill the process, recover from snapshot + journal
 tail, run the suffix — the surviving timer set, the expiry sequence,
 and every future firing must be identical to the uninterrupted run.
-Covers plain schemes, the struct-of-arrays store, and ``recycle=True``.
+Covers plain schemes and the struct-of-arrays store.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ VARIANTS = [
     ("scheme1", "scheme1", {}),
     ("scheme6", "scheme6", {}),
     ("scheme6-soa", "scheme6", {"store": "soa"}),
-    ("scheme6-recycle", "scheme6", {"recycle": True}),
     ("lawn", "lawn", {}),
 ]
 

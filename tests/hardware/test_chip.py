@@ -96,3 +96,35 @@ def test_chip_passthrough_api():
     chip.stop_timer("x")
     assert chip.pending_count == 0
     assert timer.stopped_at == 0
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda store: HashedWheelUnsortedScheduler(32, store=store),
+        lambda store: HierarchicalWheelScheduler((8, 8, 8), store=store),
+        lambda store: HierarchicalWheelScheduler(
+            (8, 8, 8), placement="span", store=store
+        ),
+    ],
+    ids=["scheme6", "scheme7", "scheme7-span"],
+)
+def test_soa_store_gives_the_same_report(factory):
+    """The chip reads only wheel geometry, so both stores report alike."""
+
+    def run(store):
+        chip = ScanningChipAssist(factory(store))
+        rng = random.Random(47)
+        for step in range(400):
+            if rng.random() < 0.3:
+                chip.start_timer(rng.randint(1, 500), request_id=f"t{step}")
+            if rng.random() < 0.1:
+                victim = f"t{rng.randrange(step + 1)}"
+                if chip.scheduler.is_pending(victim):
+                    chip.stop_timer(victim)
+            chip.tick()
+        return chip.report
+
+    report = run("soa")
+    assert report.host_interrupts > 0 and report.idle_notifications > 0
+    assert report == run("object")
